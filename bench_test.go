@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/irgen"
+	"repro/internal/obs"
 )
 
 // benchConfig is deliberately tiny so `go test -bench=.` completes on a
@@ -131,7 +132,7 @@ func BenchmarkTuner(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Breakdown.CacheHits), "cache-hits")
+				b.ReportMetric(float64(res.Breakdown.Counters[obs.CacheHits]), "cache-hits")
 				b.ReportMetric(float64(res.Breakdown.Compiles), "compiles")
 			}
 		})

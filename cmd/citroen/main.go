@@ -196,13 +196,8 @@ func main() {
 	fmt.Printf("\nBest speedup over -O3: %.3fx (time %.0f cycles)\n", res.BestSpeedup, res.BestTime)
 	fmt.Printf("Measurements: %d (saved by dedup: %d), compilations: %d\n",
 		res.Breakdown.Measures, res.SavedMeasurements, res.Breakdown.Compiles)
-	fmt.Printf("Compile cache: %d hits / %d misses (pipeline runs saved by incumbent reuse)\n",
-		res.Breakdown.CacheHits, res.Breakdown.CacheMisses)
-	fmt.Printf("Prefix cache: %d passes saved / %d replayed (%d snapshot bytes, %d evictions)\n",
-		res.Breakdown.PrefixSavedPasses, res.Breakdown.PrefixReplayedPasses,
-		res.Breakdown.PrefixSnapshotBytes, res.Breakdown.PrefixEvictions)
-	fmt.Printf("GP surrogate: %d full fits / %d incremental appends\n",
-		res.Breakdown.GPFits, res.Breakdown.GPAppends)
+	fmt.Println("Counters:")
+	res.Breakdown.Counters.Write(os.Stdout, "  ")
 	fmt.Printf("Per-module budget: %v\n", res.ModuleBudget)
 	for mod, seq := range res.BestSeqs {
 		fmt.Printf("\nBest sequence for %s (%d passes):\n  %s\n", mod, len(seq), strings.Join(seq, ","))
@@ -228,56 +223,41 @@ func main() {
 	metrics.WriteSummary(os.Stdout)
 }
 
-// summarizeJournal replays a saved journal and prints, per run: the config,
-// the best-speedup-vs-measurement curve (incumbent improvements starred), the
-// Fig 5.12-style runtime breakdown and the per-pass profile.
+// summarizeJournal prints every run of a saved journal from its analysis:
+// the config, the convergence curve, the Fig 5.12-style runtime breakdown
+// recorded in run-end and the per-pass profile.
 func summarizeJournal(path string) error {
 	events, err := obs.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
-	runs := obs.Summarize(events)
+	runs := analyze.SplitRuns(events)
 	if len(runs) == 0 {
 		return fmt.Errorf("journal %s contains no events", path)
 	}
-	for i := range runs {
-		run := &runs[i]
+	for i, run := range runs {
 		if len(runs) > 1 {
 			fmt.Printf("=== run %d of %d ===\n", i+1, len(runs))
 		}
-		if run.Config != nil {
+		r := analyze.Analyze(run)
+		if r.Config != nil {
 			fmt.Printf("config: budget=%v lambda=%v feature=%v hot_modules=%v\n",
-				run.Config["budget"], run.Config["lambda"], run.Config["feature"], run.Config["hot_modules"])
+				r.Config["budget"], r.Config["lambda"], r.Config["feature"], r.Config["hot_modules"])
 		}
-		fmt.Printf("events: %d, budget-consuming measurements: %d, best speedup: %.3fx\n",
-			run.Events, len(run.Curve), run.BestSpeedup())
-		if len(run.Curve) > 0 {
-			incumbent := map[int]bool{}
-			for _, p := range run.Incumbents {
-				incumbent[p.Measurement] = true
-			}
-			fmt.Println("speedup vs measurement (* = new incumbent):")
-			for _, p := range run.Curve {
-				mark := " "
-				if incumbent[p.Measurement] {
-					mark = "*"
-				}
-				fmt.Printf("  %4d%s %-14s speedup %.3fx  best %.3fx\n",
-					p.Measurement, mark, p.Module, p.Speedup, p.Best)
-			}
-		}
-		if shares := run.BreakdownShares(); shares != nil {
+		fmt.Printf("events: %d\n", r.Events)
+		analyze.WriteConvergence(os.Stdout, r)
+		if shares := r.BreakdownShares(); shares != nil {
 			fmt.Printf("runtime breakdown: gp-fit %.1f%%, acquisition %.1f%%, compile %.1f%%, measure %.1f%%\n",
 				100*shares["gp-fit"], 100*shares["acquisition"],
 				100*shares["compile"], 100*shares["measure"])
 		}
-		if len(run.PassProfile) > 0 {
+		if rows := r.PassProfile(); len(rows) > 0 {
 			fmt.Println("per-pass profile:")
 			fmt.Printf("  %-28s %7s %7s %12s %10s\n", "pass", "invoc", "fired", "wall", "delta")
-			for _, r := range run.PassProfile {
+			for _, p := range rows {
 				fmt.Printf("  %-28s %7d %7d %12v %10d\n",
-					r.Pass, r.Invocations, r.Fired,
-					time.Duration(r.WallNS).Round(time.Microsecond), r.DeltaTotal)
+					p.Pass, p.Invocations, p.Fired,
+					time.Duration(p.WallNS).Round(time.Microsecond), p.DeltaTotal)
 			}
 		}
 	}

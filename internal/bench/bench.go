@@ -277,31 +277,24 @@ type Evaluator struct {
 	// Prefix-snapshot cache (see prefixcache.go): (dataset, module, prefix
 	// hash, depth) → immutable module state + stats. Guarded by mu together
 	// with flights and all counters below.
-	mu        sync.Mutex
-	snaps     map[snapKey]*list.Element
-	lru       *list.List // front = most recently used *snapEntry
-	flights   map[seqKey]*flight
-	cacheHits int
-	cacheMiss int
+	mu      sync.Mutex
+	snaps   map[snapKey]*list.Element
+	lru     *list.List // front = most recently used *snapEntry
+	flights map[seqKey]*flight
+	// ctr holds the counters of the set the evaluator increments itself
+	// (compiled-module cache, prefix snapshots, COW clones; see Counters).
+	// COW accounting is deterministic: derived from hit/miss/snapshot
+	// structure, not from scheduling.
+	ctr obs.Counters
 	// modBytes refcounts the distinct module instances retained by snapshot
 	// entries so snapBytes charges shared instances exactly once (see
 	// modRef in prefixcache.go).
 	modBytes map[*ir.Module]*modRef
-	// COW clone accounting (deterministic: derived from hit/miss/snapshot
-	// structure, not from scheduling): clones handed out sharing bodies, and
-	// the subset that materialized private bodies.
-	cowShared       int
-	cowMaterialized int
-
-	// Prefix accounting: passes skipped by resuming from snapshots vs passes
-	// actually executed, current snapshot bytes, snapshots evicted.
-	// warmBytes tracks the subset of snapBytes created by uncounted
-	// WarmCompile builds (see compiledForMode).
-	prefixSaved    int
-	prefixReplayed int
-	snapBytes      int64
-	snapEvict      int
-	warmBytes      int64
+	// snapBytes is the estimated bytes currently retained by snapshots;
+	// warmBytes tracks the subset created by uncounted WarmCompile builds
+	// (see compiledForMode).
+	snapBytes int64
+	warmBytes int64
 
 	// batchMu serialises RunBatch calls so each batch's counter delta is
 	// attributable to exactly that batch (see batch.go). Independent of mu:
@@ -314,33 +307,14 @@ type Evaluator struct {
 	Measurements int
 
 	// Optional observability (SetObs); all nil until enabled. prof collects
-	// per-pass wall time and stats deltas, the counters mirror the ints above
+	// per-pass wall time and stats deltas; gauges mirror the counter set
 	// into the metrics registry.
-	prof         *passes.Profile
-	obsHits      *obs.Counter
-	obsMiss      *obs.Counter
-	obsComp      *obs.Counter
-	obsMeas      *obs.Counter
-	obsSaved     *obs.Counter
-	obsReplayed  *obs.Counter
-	obsEvict     *obs.Counter
-	obsSnapBytes *obs.Gauge
-	obsAnalHits  *obs.Gauge
-	obsAnalMiss  *obs.Gauge
-	obsCowClones *obs.Gauge
-	obsCowMat    *obs.Gauge
-	obsSlabFuncs *obs.Gauge
-	obsStray     *obs.Gauge
-	obsMachGets  *obs.Gauge
-	obsMachNews  *obs.Gauge
-	obsPassGets  *obs.Gauge
-	obsPassNews  *obs.Gauge
-	obsBcFuncs   *obs.Gauge
-	obsBcBytes   *obs.Gauge
-	obsBcFused   *obs.Gauge
-	obsBcSuper   *obs.Gauge
-	obsBcHits    *obs.Gauge
-	obsBcMiss    *obs.Gauge
+	prof        *passes.Profile
+	obsComp     *obs.Counter
+	obsMeas     *obs.Counter
+	gauges      *obs.CounterGauges
+	obsAnalHits *obs.Gauge
+	obsAnalMiss *obs.Gauge
 
 	// bc0 is the measurement machine's bytecode-engine counter state at the
 	// end of construction, so BcCounters reports search work only (the
@@ -402,9 +376,7 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	// the O3 pipeline resume from its snapshots.
 	ev.Compilations, ev.Measurements = 0, 0
 	ev.mu.Lock()
-	ev.cacheHits, ev.cacheMiss = 0, 0
-	ev.prefixSaved, ev.prefixReplayed, ev.snapEvict = 0, 0, 0
-	ev.cowShared, ev.cowMaterialized = 0, 0
+	ev.ctr = obs.Counters{}
 	ev.mu.Unlock()
 	// Snapshot the bytecode-engine counters accumulated by the baseline and
 	// reference runs; BcCounters subtracts this so it too reports search
@@ -455,46 +427,84 @@ func (ev *Evaluator) CompileModuleCtx(ctx context.Context, name string, seq []st
 	return ev.compiledFor(ctx, 0, name, seq)
 }
 
+// Counters returns the evaluator's part of the counter set (everything
+// before obs.TaskCounters) since it was built; the baseline build does not
+// count. Cache, prefix-snapshot and COW counters are kept under mu, the
+// bytecode counters come from the measurement machine (BcCounters) and the
+// env_ counters from the process-global pools and arenas.
+func (ev *Evaluator) Counters() obs.Counters {
+	ev.mu.Lock()
+	c := ev.ctr
+	c[obs.PrefixSnapshotBytes] = ev.snapBytes
+	ev.mu.Unlock()
+	bc := ev.BcCounters()
+	c[obs.BcLoweredFuncs], c[obs.BcBytecodeBytes], c[obs.BcFusedSites] = bc.LoweredFuncs, bc.BytecodeBytes, bc.FusedSites
+	c[obs.BcSuperHits], c[obs.BcCodeHits], c[obs.BcCodeMisses] = bc.SuperHits, bc.CodeHits, bc.CodeMisses
+	clones, materialized, slabFuncs, stray := ir.CloneCounters()
+	machGets, machNews := machine.PoolCounters()
+	passGets, passNews := passes.PoolCounters()
+	c[obs.EnvIRCloneCow] = int64(clones)
+	c[obs.EnvIRCloneMaterialized] = int64(materialized)
+	c[obs.EnvIRCloneSlabFuncs] = int64(slabFuncs)
+	c[obs.EnvIRCloneStrayInstrs] = int64(stray)
+	c[obs.EnvMachinePoolGets] = int64(machGets)
+	c[obs.EnvMachinePoolNews] = int64(machNews)
+	c[obs.EnvPassesPoolGets] = int64(passGets)
+	c[obs.EnvPassesPoolNews] = int64(passNews)
+	return c
+}
+
 // CacheCounters returns the compiled-module cache hit/miss counts since the
 // evaluator was built (the baseline build does not count).
 func (ev *Evaluator) CacheCounters() (hits, misses int) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.cacheHits, ev.cacheMiss
+	c := ev.Counters()
+	return int(c[obs.CacheHits]), int(c[obs.CacheMisses])
 }
 
-// SetObs attaches the evaluator to a metrics registry (cache, compilation and
-// measurement counters plus a histogram of simulated run cycles) and, when
-// prof is non-nil, enables per-pass profiling of every pipeline execution.
-// Call before tuning starts: CompileModule runs concurrently and the fields
+// PrefixCounters returns the prefix-snapshot cache's work accounting since
+// the evaluator was built: passes skipped by resuming from snapshots, passes
+// actually executed, the estimated bytes currently retained by snapshots,
+// and the number of evicted snapshots.
+func (ev *Evaluator) PrefixCounters() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int) {
+	c := ev.Counters()
+	return int(c[obs.PrefixSavedPasses]), int(c[obs.PrefixReplayedPasses]), c[obs.PrefixSnapshotBytes], int(c[obs.PrefixEvictions])
+}
+
+// CowCounters returns the copy-on-write clone accounting since the evaluator
+// was built: clones handed out sharing function bodies, and the subset that
+// went on to materialize private bodies.
+func (ev *Evaluator) CowCounters() (shared, materialized int) {
+	c := ev.Counters()
+	return int(c[obs.CowShared]), int(c[obs.CowMaterialized])
+}
+
+// mirrorCounters copies the evaluator's counters and the process-global
+// analysis-cache counters into the registry (no-op until SetObs). The env_
+// and analysis-cache values are scheduling-dependent environment metrics.
+func (ev *Evaluator) mirrorCounters() {
+	if ev.gauges == nil {
+		return
+	}
+	c := ev.Counters()
+	ev.gauges.Set(&c, 0, obs.TaskCounters)
+	h, m := ir.AnalysisCacheCounters()
+	ev.obsAnalHits.Set(float64(h))
+	ev.obsAnalMiss.Set(float64(m))
+}
+
+// SetObs attaches the evaluator to a metrics registry (its counter set,
+// mirrored after every compile and measurement, compilation and measurement
+// counters, and a histogram of simulated run cycles) and, when prof is
+// non-nil, enables per-pass profiling of every pipeline execution. Call before tuning starts: CompileModule runs concurrently and the fields
 // set here are not guarded for mid-run replacement. A nil registry yields
 // live but unregistered instruments.
 func (ev *Evaluator) SetObs(m *obs.Metrics, prof *passes.Profile) {
 	ev.prof = prof
-	ev.obsHits = m.Counter("bench_cache_hits_total")
-	ev.obsMiss = m.Counter("bench_cache_misses_total")
 	ev.obsComp = m.Counter("bench_compilations_total")
 	ev.obsMeas = m.Counter("bench_measurements_total")
-	ev.obsSaved = m.Counter("bench_prefix_saved_passes_total")
-	ev.obsReplayed = m.Counter("bench_prefix_replayed_passes_total")
-	ev.obsEvict = m.Counter("bench_prefix_evictions_total")
-	ev.obsSnapBytes = m.Gauge("bench_prefix_snapshot_bytes")
+	ev.gauges = m.CounterGauges()
 	ev.obsAnalHits = m.Gauge("ir_analysis_cache_hits")
 	ev.obsAnalMiss = m.Gauge("ir_analysis_cache_misses")
-	ev.obsCowClones = m.Gauge("ir_clone_cow_total")
-	ev.obsCowMat = m.Gauge("ir_clone_cow_materialized_total")
-	ev.obsSlabFuncs = m.Gauge("ir_clone_slab_funcs_total")
-	ev.obsStray = m.Gauge("ir_clone_stray_instrs_total")
-	ev.obsMachGets = m.Gauge("machine_pool_gets_total")
-	ev.obsMachNews = m.Gauge("machine_pool_news_total")
-	ev.obsPassGets = m.Gauge("passes_pool_gets_total")
-	ev.obsPassNews = m.Gauge("passes_pool_news_total")
-	ev.obsBcFuncs = m.Gauge("machine_bc_lowered_funcs")
-	ev.obsBcBytes = m.Gauge("machine_bc_bytecode_bytes")
-	ev.obsBcFused = m.Gauge("machine_bc_fused_sites")
-	ev.obsBcSuper = m.Gauge("machine_bc_super_hits")
-	ev.obsBcHits = m.Gauge("machine_bc_code_hits")
-	ev.obsBcMiss = m.Gauge("machine_bc_code_misses")
 	h := m.Histogram("machine_run_cycles", obs.CyclesBuckets)
 	ev.meas.OnSample = func(cycles float64, _ time.Duration) { h.Observe(cycles) }
 }
@@ -568,6 +578,7 @@ func (ev *Evaluator) Measure(seqs map[string][]string) (timeCycles, speedup floa
 // cycle.
 func (ev *Evaluator) MeasureCtx(ctx context.Context, seqs map[string][]string) (timeCycles, speedup float64, err error) {
 	t, _, err := ev.timeWithSequences(ctx, seqs)
+	ev.mirrorCounters()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/passes"
 )
 
@@ -70,19 +72,20 @@ func TestJournalEndToEndWorkerEquality(t *testing.T) {
 	}
 
 	// Replayed journal agrees with the Result.
-	runs := obs.Summarize(evS)
+	runs := analyze.SplitRuns(evS)
 	if len(runs) != 1 {
-		t.Fatalf("Summarize found %d runs, want 1", len(runs))
+		t.Fatalf("SplitRuns found %d runs, want 1", len(runs))
 	}
-	if got := runs[0].BestSpeedup(); got != resS.BestSpeedup {
+	rep := analyze.Analyze(runs[0])
+	if got := rep.BestSpeedup; got != resS.BestSpeedup {
 		t.Fatalf("replayed best speedup %v != Result %v", got, resS.BestSpeedup)
 	}
-	if len(runs[0].PassProfile) == 0 {
+	if len(rep.PassProfile()) == 0 {
 		t.Fatal("run-end event carries no pass profile")
 	}
 
 	// The registry's cache counters match the evaluator's.
-	if hits := metS.Counter("bench_cache_hits_total").Value(); hits == 0 {
+	if hits := metS.Gauge(obs.CacheHits.MetricName()).Value(); hits == 0 {
 		t.Fatal("no cache hits recorded for a run with repeated incumbents")
 	}
 
@@ -116,11 +119,11 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 	}
 
 	hits, misses := ev.CacheCounters()
-	if got := met.Counter("bench_cache_hits_total").Value(); got != int64(hits) {
-		t.Fatalf("registry hits %d != evaluator %d", got, hits)
+	if got := met.Gauge(obs.CacheHits.MetricName()).Value(); got != float64(hits) {
+		t.Fatalf("registry hits %v != evaluator %d", got, hits)
 	}
-	if got := met.Counter("bench_cache_misses_total").Value(); got != int64(misses) {
-		t.Fatalf("registry misses %d != evaluator %d", got, misses)
+	if got := met.Gauge(obs.CacheMisses.MetricName()).Value(); got != float64(misses) {
+		t.Fatalf("registry misses %v != evaluator %d", got, misses)
 	}
 	if got := met.Counter("bench_compilations_total").Value(); got != int64(ev.Compilations) {
 		t.Fatalf("registry compilations %d != evaluator %d", got, ev.Compilations)
@@ -140,5 +143,151 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 	}
 	if misses == 0 || hits == 0 {
 		t.Fatalf("expected both hits and misses, got %d/%d", hits, misses)
+	}
+}
+
+// counterRun tunes telecom_gsm on one worker with the journal, the metrics
+// registry (shared by evaluator and tuner) and the Result all attached.
+func counterRun(t *testing.T) ([]obs.Event, *core.Result, *obs.Metrics) {
+	t.Helper()
+	ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := obs.NewMetrics()
+	ev.SetObs(met, nil)
+	mem := &obs.MemorySink{}
+	o := obsTunerOpts()
+	o.Workers = 1
+	o.Sink = mem
+	o.Metrics = met
+	res, err := core.NewTuner(ev.Task(), o, 5).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mem.Events(), res, met
+}
+
+// Every counter of the set must end with one value in every place it
+// flows to: Result.Breakdown, the last journal event of its group, run-end
+// (canonical counters), analyze.Report and the metrics registry.
+func TestCounterFlow(t *testing.T) {
+	events, res, met := counterRun(t)
+	last := map[string]*obs.Event{}
+	for i := range events {
+		last[events[i].Type] = &events[i]
+	}
+	runEnd := last["run-end"]
+	if runEnd == nil {
+		t.Fatal("journal has no run-end event")
+	}
+	rep := analyze.Analyze(events)
+	for _, g := range obs.CounterGroups {
+		moved := false
+		for id := g.First; id < g.End; id++ {
+			want := res.Breakdown.Counters[id]
+			moved = moved || want != 0
+			t.Run(id.Key(), func(t *testing.T) {
+				e := last[g.Event]
+				if e == nil {
+					t.Fatalf("no %s event journaled", g.Event)
+				}
+				if got := obs.FieldFloat(e.Fields, id.Field()); got != float64(want) {
+					t.Errorf("last %s %s = %v, Breakdown %d", g.Event, id.Field(), got, want)
+				}
+				_, inRunEnd := runEnd.Fields[id.Key()]
+				if got := obs.FieldFloat(runEnd.Fields, id.Key()); inRunEnd == id.Env() || (!id.Env() && got != float64(want)) {
+					t.Errorf("run-end %s = %v (present %v), Breakdown %d", id.Key(), got, inRunEnd, want)
+				}
+				if got := rep.Counters[id]; got != want {
+					t.Errorf("analyze.Report = %d, Breakdown %d", got, want)
+				}
+				if got := met.Gauge(id.MetricName()).Value(); got != float64(want) {
+					t.Errorf("registry %s = %v, Breakdown %d", id.MetricName(), got, want)
+				}
+			})
+		}
+		if !moved {
+			t.Errorf("no %s counter moved in a real run", g.Event)
+		}
+	}
+	if res.Breakdown.GPFits != int(res.Breakdown.Counters[obs.GPFits]) ||
+		res.Breakdown.GPAppends != int(res.Breakdown.Counters[obs.GPAppends]) {
+		t.Errorf("Breakdown.GPFits/GPAppends %d/%d do not restate the set", res.Breakdown.GPFits, res.Breakdown.GPAppends)
+	}
+}
+
+// The counter events are part of the journal contract (CI's greps,
+// citroenstat diff and the benchmark's list of schedule-dependent events
+// rely on them), so their types, field names, run-end keys and the order
+// they follow each measurement are pinned here literally.
+func TestCounterJournalShape(t *testing.T) {
+	want := []struct {
+		typ    string
+		fields []string
+	}{
+		{"cache-stats", []string{"hits", "misses"}},
+		{"prefix-cache-stats", []string{"evictions", "replayed_passes", "saved_passes", "snapshot_bytes"}},
+		{"cow-stats", []string{"env_ir_clone_cow", "env_ir_clone_materialized", "env_ir_clone_slab_funcs",
+			"env_ir_clone_stray_instrs", "env_machine_pool_gets", "env_machine_pool_news",
+			"env_passes_pool_gets", "env_passes_pool_news", "materialized", "shared"}},
+		{"bc-stats", []string{"bytecode_bytes", "code_hits", "code_misses", "fused_sites", "lowered_funcs", "super_hits"}},
+		{"gp-stats", []string{"appends", "fits"}},
+	}
+	runEndKeys := []string{"cache_hits", "cache_misses",
+		"prefix_saved_passes", "prefix_replayed_passes", "prefix_snapshot_bytes", "prefix_evictions",
+		"cow_shared", "cow_materialized",
+		"bc_lowered_funcs", "bc_bytecode_bytes", "bc_fused_sites", "bc_super_hits", "bc_code_hits", "bc_code_misses",
+		"gp_fits", "gp_appends"}
+
+	events, _, _ := counterRun(t)
+	counterEvents := map[string]int{}
+	for _, w := range want {
+		counterEvents[w.typ] = 0
+	}
+	measurements := 0
+	for i, e := range events {
+		if _, ok := counterEvents[e.Type]; ok {
+			counterEvents[e.Type]++
+		}
+		if e.Type != "measure" || !obs.FieldBool(e.Fields, "ok") || obs.FieldBool(e.Fields, "reused") {
+			continue
+		}
+		measurements++
+		next := i + 1
+		if next < len(events) && events[next].Type == "new-incumbent" {
+			next++
+		}
+		for k, w := range want {
+			if next+k >= len(events) {
+				t.Fatalf("journal ends before %s after measure event %d", w.typ, i)
+			}
+			got := events[next+k]
+			var fields []string
+			for f := range got.Fields {
+				fields = append(fields, f)
+			}
+			sort.Strings(fields)
+			if got.Type != w.typ || !reflect.DeepEqual(fields, w.fields) {
+				t.Fatalf("counter event %d after measure event %d = %s %v, want %s %v", k, i, got.Type, fields, w.typ, w.fields)
+			}
+		}
+	}
+	if measurements == 0 {
+		t.Fatal("no budget-consuming measurements journaled")
+	}
+	for typ, n := range counterEvents {
+		if n != measurements {
+			t.Errorf("%d %s events for %d measurements: counter events belong after measurements only", n, typ, measurements)
+		}
+	}
+	end := events[len(events)-1]
+	if end.Type != "run-end" {
+		t.Fatalf("last event is %s, want run-end", end.Type)
+	}
+	for _, k := range runEndKeys {
+		if _, ok := end.Fields[k]; !ok {
+			t.Errorf("run-end lacks counter key %q", k)
+		}
 	}
 }

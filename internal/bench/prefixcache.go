@@ -9,7 +9,7 @@ import (
 	"io"
 
 	"repro/internal/ir"
-	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -308,13 +308,7 @@ func (ev *Evaluator) insertSnapLocked(key snapKey, ps pendingSnap, warm bool) {
 		ev.lru.Remove(back)
 		delete(ev.snaps, old.key)
 		ev.releaseSnapModLocked(old.mod)
-		ev.snapEvict++
-		if ev.obsEvict != nil {
-			ev.obsEvict.Inc()
-		}
-	}
-	if ev.obsSnapBytes != nil {
-		ev.obsSnapBytes.Set(float64(ev.snapBytes))
+		ev.ctr[obs.PrefixEvictions]++
 	}
 }
 
@@ -362,13 +356,12 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		if counted {
 			ev.mu.Lock()
 			ev.Compilations++
-			ev.prefixReplayed += len(names)
-			ev.cowShared++       // the working clone shares pristine's bodies
-			ev.cowMaterialized++ // ...until the first pass materializes it
+			ev.ctr[obs.PrefixReplayedPasses] += int64(len(names))
+			ev.ctr[obs.CowShared]++       // the working clone shares pristine's bodies
+			ev.ctr[obs.CowMaterialized]++ // ...until the first pass materializes it
 			ev.mu.Unlock()
 			if ev.obsComp != nil {
 				ev.obsComp.Inc()
-				ev.obsReplayed.Add(int64(len(names)))
 			}
 		}
 		c := pristine.Clone()
@@ -380,7 +373,7 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		if err := mgr.Run(c, names, st, false); err != nil {
 			return nil, nil, err
 		}
-		ev.updateAnalysisGauges()
+		ev.mirrorCounters()
 		return c, st, nil
 	}
 
@@ -399,15 +392,12 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			ev.lru.MoveToFront(e)
 			se := e.Value.(*snapEntry)
 			if counted {
-				ev.cacheHits++
-				ev.cowShared++ // hit handout: a COW clone that never materializes
+				ev.ctr[obs.CacheHits]++
+				ev.ctr[obs.CowShared]++ // hit handout: a COW clone that never materializes
 			}
 			mod, st := se.mod, se.stats
 			verified, verr := se.verified, se.verr
 			ev.mu.Unlock()
-			if counted && ev.obsHits != nil {
-				ev.obsHits.Inc()
-			}
 			if !verified {
 				// An interior snapshot served as a full build: run the final
 				// verification a fresh build of this exact sequence would
@@ -435,12 +425,9 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			if fl.err == nil {
 				if counted {
 					ev.mu.Lock()
-					ev.cacheHits++
-					ev.cowShared++ // follower handout, like an exact hit
+					ev.ctr[obs.CacheHits]++
+					ev.ctr[obs.CowShared]++ // follower handout, like an exact hit
 					ev.mu.Unlock()
-					if ev.obsHits != nil {
-						ev.obsHits.Inc()
-					}
 				}
 				return fl.mod.Clone(), fl.stats.Clone(), nil
 			}
@@ -466,26 +453,23 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			baseMod, baseSt, baseFp, baseFpOK, depth = base.mod, base.stats, base.fp, base.fpOK, base.key.depth
 		}
 		if counted {
-			ev.cacheMiss++
+			ev.ctr[obs.CacheMisses]++
 			ev.Compilations++
-			ev.prefixSaved += depth
-			ev.prefixReplayed += total - depth
+			ev.ctr[obs.PrefixSavedPasses] += int64(depth)
+			ev.ctr[obs.PrefixReplayedPasses] += int64(total - depth)
 			// The lead's working clone shares its base (snapshot or pristine)
 			// and materializes on the first suffix pass (depth < total here:
 			// a depth == total snapshot would have been an exact hit).
-			ev.cowShared++
-			ev.cowMaterialized++
+			ev.ctr[obs.CowShared]++
+			ev.ctr[obs.CowMaterialized]++
 		}
 		ev.mu.Unlock()
-		if counted && ev.obsMiss != nil {
-			ev.obsMiss.Inc()
+		if counted && ev.obsComp != nil {
 			ev.obsComp.Inc()
-			ev.obsSaved.Add(int64(depth))
-			ev.obsReplayed.Add(int64(total - depth))
 		}
 
 		mod, st, err := ev.leadCompile(fl, flKey, fullKey, pristine, plist, hashes, baseMod, baseSt, baseFp, baseFpOK, depth, counted)
-		ev.updateAnalysisGauges()
+		ev.mirrorCounters()
 		return mod, st, err
 	}
 }
@@ -526,9 +510,9 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 			// Each fresh interior snapshot is a COW clone off the working
 			// module, which re-materializes on the pass that follows; the
 			// final-state clone is never mutated again.
-			ev.cowShared++
+			ev.ctr[obs.CowShared]++
 			if ps.depth != len(plist) {
-				ev.cowMaterialized++
+				ev.ctr[obs.CowMaterialized]++
 			}
 		}
 		ev.insertSnapLocked(snapKey{dataset: fullKey.dataset, module: fullKey.module, hash: hashes[ps.depth], depth: ps.depth}, ps, !counted)
@@ -551,82 +535,4 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 	}
 	// c is the caller's private instance; the cached snapshot is its clone.
 	return c, st, nil
-}
-
-// updateAnalysisGauges mirrors the process-global analysis-cache, COW-clone
-// and scratch-pool counters into the metrics registry (no-op until SetObs
-// attaches gauges). These are environment metrics — scheduling-dependent and
-// process-global — so they feed Prometheus and env_ journal fields only,
-// never canonical journal fields.
-func (ev *Evaluator) updateAnalysisGauges() {
-	if ev.obsAnalHits == nil {
-		return
-	}
-	h, m := ir.AnalysisCacheCounters()
-	ev.obsAnalHits.Set(float64(h))
-	ev.obsAnalMiss.Set(float64(m))
-	if ev.obsCowClones != nil {
-		clones, mat, slab, stray := ir.CloneCounters()
-		ev.obsCowClones.Set(float64(clones))
-		ev.obsCowMat.Set(float64(mat))
-		ev.obsSlabFuncs.Set(float64(slab))
-		ev.obsStray.Set(float64(stray))
-		mg, mn := machine.PoolCounters()
-		ev.obsMachGets.Set(float64(mg))
-		ev.obsMachNews.Set(float64(mn))
-		pg, pn := passes.PoolCounters()
-		ev.obsPassGets.Set(float64(pg))
-		ev.obsPassNews.Set(float64(pn))
-	}
-	if ev.obsBcFuncs != nil {
-		bc := ev.meas.Machine.BcCounters()
-		ev.obsBcFuncs.Set(float64(bc.LoweredFuncs))
-		ev.obsBcBytes.Set(float64(bc.BytecodeBytes))
-		ev.obsBcFused.Set(float64(bc.FusedSites))
-		ev.obsBcSuper.Set(float64(bc.SuperHits))
-		ev.obsBcHits.Set(float64(bc.CodeHits))
-		ev.obsBcMiss.Set(float64(bc.CodeMisses))
-	}
-}
-
-// CowCounters returns the copy-on-write clone accounting since the evaluator
-// was built (the baseline build does not count): clones handed out sharing
-// function bodies, and the subset that went on to materialize private
-// bodies. Both are deterministic functions of the evaluated workload, so
-// they are safe for canonical journal fields.
-func (ev *Evaluator) CowCounters() (shared, materialized int) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.cowShared, ev.cowMaterialized
-}
-
-// EnvPoolStats returns the process-global pool/arena counters behind the COW
-// and scratch-pool machinery. These depend on goroutine scheduling (other
-// evaluators in the process bump them too), so callers must treat them as
-// execution-environment observations — the tuner journals them only under
-// the canonicalisation-stripped "env_" prefix.
-func (ev *Evaluator) EnvPoolStats() map[string]uint64 {
-	clones, materialized, slabFuncs, stray := ir.CloneCounters()
-	machGets, machNews := machine.PoolCounters()
-	passGets, passNews := passes.PoolCounters()
-	return map[string]uint64{
-		"ir_clone_cow":          clones,
-		"ir_clone_materialized": materialized,
-		"ir_clone_slab_funcs":   slabFuncs,
-		"ir_clone_stray_instrs": stray,
-		"machine_pool_gets":     machGets,
-		"machine_pool_news":     machNews,
-		"passes_pool_gets":      passGets,
-		"passes_pool_news":      passNews,
-	}
-}
-
-// PrefixCounters returns the prefix-snapshot cache's work accounting since
-// the evaluator was built: passes skipped by resuming from snapshots, passes
-// actually executed, the estimated bytes currently retained by snapshots,
-// and the number of evicted snapshots.
-func (ev *Evaluator) PrefixCounters() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.prefixSaved, ev.prefixReplayed, ev.snapBytes, ev.snapEvict
 }

@@ -154,40 +154,14 @@ type RuntimeBreakdown struct {
 	Total    time.Duration
 	Measures int
 	Compiles int
-	// GPFits/GPAppends count the surrogate updates behind the GPFit wall
-	// time: full O(n³) (re)fits vs O(n²) incremental appends absorbed on
-	// non-refit iterations.
-	GPFits    int
-	GPAppends int
-	// CacheHits/CacheMisses count compiled-module cache lookups when the
-	// Task's evaluator memoises builds (zero otherwise): hits are pipeline
-	// executions the incumbent-reuse cache saved.
-	CacheHits   int
-	CacheMisses int
-	// Prefix-snapshot cache accounting when the Task's evaluator resumes
-	// builds from cached sequence prefixes (zero otherwise): passes skipped
-	// by resuming vs actually executed, snapshot memory held at run end, and
-	// snapshots evicted under the entry/byte bounds.
-	PrefixSavedPasses    int
-	PrefixReplayedPasses int
-	PrefixSnapshotBytes  int64
-	PrefixEvictions      int
-	// Copy-on-write clone accounting when the Task's evaluator hands out
-	// COW module clones (zero otherwise): clones that shared function
-	// bodies with their source, and the subset that later materialized
-	// private bodies because a pass mutated them.
-	CowShared       int
-	CowMaterialized int
-	// Bytecode measurement-engine accounting when the Task's evaluator
-	// executes through lowered code (zero otherwise): functions lowered,
-	// bytecode bytes produced, superinstruction fusion sites emitted and
-	// executed, and lowered-code cache hits/misses.
-	BcLoweredFuncs  int64
-	BcBytecodeBytes int64
-	BcFusedSites    int64
-	BcSuperHits     int64
-	BcCodeHits      int64
-	BcCodeMisses    int64
+	// Counters is the run's counter set (see obs.Counters): the Task's
+	// counters when it reports them (zero otherwise) and the tuner's own gp
+	// group, which counts the surrogate updates behind GPFit: full O(n³)
+	// (re)fits vs O(n²) incremental appends.
+	Counters obs.Counters
+	// GPFits and GPAppends restate Counters[obs.GPFits] and
+	// Counters[obs.GPAppends].
+	GPFits, GPAppends int
 }
 
 // Result is the tuning outcome.
@@ -276,7 +250,7 @@ type Tuner struct {
 	// (experiment repeats) keeps global totals, while Breakdown reports
 	// this run's deltas.
 	mMeas0, mComp0 int64
-	mGPApp         *obs.Counter
+	gCounters      *obs.CounterGauges // mirrors the gp group
 	gBest          *obs.Gauge
 	gEdges         *obs.Gauge
 	hGPFit         *obs.Histogram
@@ -310,19 +284,19 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		modIdx:  map[string]*moduleState{},
 		measCut: map[string]float64{},
 
-		rec:      obs.NewRecorder(opts.Sink),
-		mMeas:    met.Counter("citroen_measurements_total"),
-		mComp:    met.Counter("citroen_compilations_total"),
-		mSaved:   met.Counter("citroen_saved_measurements_total"),
-		mDup:     met.Counter("citroen_candidate_dups_total"),
-		mGPApp:   met.Counter("citroen_gp_append_total"),
-		gBest:    met.Gauge("citroen_incumbent_speedup"),
-		gEdges:   met.Gauge("citroen_planner_edges"),
-		hGPFit:   met.Histogram("citroen_gp_fit_seconds", obs.DurationBuckets),
-		hAcq:     met.Histogram("citroen_acq_maximize_seconds", obs.DurationBuckets),
-		hCompile: met.Histogram("citroen_candidate_compile_seconds", obs.DurationBuckets),
-		hMeasure: met.Histogram("citroen_measure_seconds", obs.DurationBuckets),
-		hPlan:    met.Histogram("citroen_greedy_plan_seconds", obs.DurationBuckets),
+		rec:       obs.NewRecorder(opts.Sink),
+		mMeas:     met.Counter("citroen_measurements_total"),
+		mComp:     met.Counter("citroen_compilations_total"),
+		mSaved:    met.Counter("citroen_saved_measurements_total"),
+		mDup:      met.Counter("citroen_candidate_dups_total"),
+		gCounters: met.CounterGauges(),
+		gBest:     met.Gauge("citroen_incumbent_speedup"),
+		gEdges:    met.Gauge("citroen_planner_edges"),
+		hGPFit:    met.Histogram("citroen_gp_fit_seconds", obs.DurationBuckets),
+		hAcq:      met.Histogram("citroen_acq_maximize_seconds", obs.DurationBuckets),
+		hCompile:  met.Histogram("citroen_candidate_compile_seconds", obs.DurationBuckets),
+		hMeasure:  met.Histogram("citroen_measure_seconds", obs.DurationBuckets),
+		hPlan:     met.Histogram("citroen_greedy_plan_seconds", obs.DurationBuckets),
 	}
 	t.mMeas0, t.mComp0 = t.mMeas.Value(), t.mComp.Value()
 	t.backend = opts.Backend
@@ -776,10 +750,7 @@ func (t *Tuner) fitModel(iter int) error {
 		case 1:
 			if err := t.model.Append(t.X[len(t.X)-1], t.Y[len(t.Y)-1]); err == nil {
 				wall := time.Since(tStart)
-				t.res.Breakdown.GPFit += wall
-				t.res.Breakdown.GPAppends++
-				t.mGPApp.Inc()
-				t.hGPFit.Observe(wall.Seconds())
+				t.countGPUpdate(obs.GPAppends, wall)
 				t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), true, wall)
 				return nil
 			}
@@ -801,11 +772,19 @@ func (t *Tuner) fitModel(iter int) error {
 	}
 	t.model = m
 	wall := time.Since(tStart)
-	t.res.Breakdown.GPFit += wall
-	t.res.Breakdown.GPFits++
-	t.hGPFit.Observe(wall.Seconds())
+	t.countGPUpdate(obs.GPFits, wall)
 	t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), false, wall)
 	return nil
+}
+
+// countGPUpdate accounts one surrogate update of the given kind (obs.GPFits
+// or obs.GPAppends) and mirrors the gp counters into the registry.
+func (t *Tuner) countGPUpdate(kind obs.CounterID, wall time.Duration) {
+	bd := &t.res.Breakdown
+	bd.GPFit += wall
+	bd.Counters[kind]++
+	t.gCounters.Set(&bd.Counters, obs.TaskCounters, obs.NumCounters)
+	t.hGPFit.Observe(wall.Seconds())
 }
 
 type candidate struct {
@@ -1158,29 +1137,22 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		t.rec.NewIncumbent(t.curSpan, ms.name, meas, sp)
 	}
 	if t.rec.Enabled() {
-		if cs, ok := t.task.(CacheStatsReporter); ok {
-			hits, misses := cs.CacheCounters()
-			t.rec.CacheStats(t.curSpan, hits, misses)
-		}
-		if ps, ok := t.task.(PrefixStatsReporter); ok {
-			saved, replayed, bytes, evictions := ps.PrefixCounters()
-			t.rec.PrefixCache(t.curSpan, saved, replayed, bytes, evictions)
-		}
-		if cr, ok := t.task.(CowStatsReporter); ok {
-			shared, mat := cr.CowCounters()
-			var env map[string]uint64
-			if er, ok := t.task.(EnvStatsReporter); ok {
-				env = er.EnvPoolStats()
-			}
-			t.rec.CowStats(t.curSpan, shared, mat, env)
-		}
-		if br, ok := t.task.(BcStatsReporter); ok {
-			lowered, bytes, fused, super, hits, misses := br.BcCounters()
-			t.rec.BcStats(t.curSpan, lowered, bytes, fused, super, hits, misses)
-		}
-		t.rec.GPStats(t.curSpan, t.res.Breakdown.GPFits, t.res.Breakdown.GPAppends)
+		c, from := t.counters()
+		t.rec.Counters(t.curSpan, &c, from)
 	}
 	return true
+}
+
+// counters returns the run's counter set: the Task's counters when it
+// reports them, plus the tuner's own gp group. from is the first counter
+// the journal carries: the Task's groups only when the Task reports them.
+func (t *Tuner) counters() (c obs.Counters, from obs.CounterID) {
+	from = obs.TaskCounters
+	if cr, ok := t.task.(CountersReporter); ok {
+		c, from = cr.Counters(), 0
+	}
+	copy(c[obs.TaskCounters:], t.res.Breakdown.Counters[obs.TaskCounters:])
+	return c, from
 }
 
 func (t *Tuner) tellGenerators(ms *moduleState, seq []int, y float64) {
@@ -1211,55 +1183,33 @@ func (t *Tuner) finalize(start time.Time) {
 	if t.candsCompiled > 0 {
 		t.res.CandidateDupRate = float64(t.candsDup) / float64(t.candsCompiled)
 	}
-	t.res.Breakdown.Measures = int(t.mMeas.Value() - t.mMeas0)
-	t.res.Breakdown.Compiles = int(t.mComp.Value() - t.mComp0)
-	if cs, ok := t.task.(CacheStatsReporter); ok {
-		t.res.Breakdown.CacheHits, t.res.Breakdown.CacheMisses = cs.CacheCounters()
-	}
-	if ps, ok := t.task.(PrefixStatsReporter); ok {
-		t.res.Breakdown.PrefixSavedPasses, t.res.Breakdown.PrefixReplayedPasses,
-			t.res.Breakdown.PrefixSnapshotBytes, t.res.Breakdown.PrefixEvictions = ps.PrefixCounters()
-	}
-	if cr, ok := t.task.(CowStatsReporter); ok {
-		t.res.Breakdown.CowShared, t.res.Breakdown.CowMaterialized = cr.CowCounters()
-	}
-	if br, ok := t.task.(BcStatsReporter); ok {
-		t.res.Breakdown.BcLoweredFuncs, t.res.Breakdown.BcBytecodeBytes,
-			t.res.Breakdown.BcFusedSites, t.res.Breakdown.BcSuperHits,
-			t.res.Breakdown.BcCodeHits, t.res.Breakdown.BcCodeMisses = br.BcCounters()
-	}
+	bd := &t.res.Breakdown
+	bd.Measures = int(t.mMeas.Value() - t.mMeas0)
+	bd.Compiles = int(t.mComp.Value() - t.mComp0)
+	bd.Counters, _ = t.counters()
+	bd.GPFits, bd.GPAppends = int(bd.Counters[obs.GPFits]), int(bd.Counters[obs.GPAppends])
 	if pp, ok := t.task.(PassProfileReporter); ok {
 		t.res.PassProfile = pp.PassProfile()
 	}
-	t.res.Breakdown.Total = time.Since(start)
+	bd.Total = time.Since(start)
 	if t.rec.Enabled() {
-		bd := t.res.Breakdown
 		summary := map[string]any{
 			"best_speedup": t.res.BestSpeedup, "best_time_cycles": t.res.BestTime,
 			"measurements": bd.Measures, "compilations": bd.Compiles,
 			"saved_measurements": t.res.SavedMeasurements,
 			"novel_selections":   t.res.NovelSelections,
 			"candidate_dup_rate": t.res.CandidateDupRate,
-			"cache_hits":         bd.CacheHits, "cache_misses": bd.CacheMisses,
-			"gp_fits": bd.GPFits, "gp_appends": bd.GPAppends,
-			"prefix_saved_passes":    bd.PrefixSavedPasses,
-			"prefix_replayed_passes": bd.PrefixReplayedPasses,
-			"prefix_snapshot_bytes":  bd.PrefixSnapshotBytes,
-			"prefix_evictions":       bd.PrefixEvictions,
-			"cow_shared":             bd.CowShared,
-			"cow_materialized":       bd.CowMaterialized,
-			"bc_lowered_funcs":       bd.BcLoweredFuncs,
-			"bc_bytecode_bytes":      bd.BcBytecodeBytes,
-			"bc_fused_sites":         bd.BcFusedSites,
-			"bc_super_hits":          bd.BcSuperHits,
-			"bc_code_hits":           bd.BcCodeHits,
-			"bc_code_misses":         bd.BcCodeMisses,
-			"interrupted":            t.interrupted,
+			"interrupted":        t.interrupted,
 			"breakdown": map[string]any{
 				"gp_fit_ns": bd.GPFit.Nanoseconds(), "acq_max_ns": bd.AcqMax.Nanoseconds(),
 				"compile_ns": bd.Compile.Nanoseconds(), "measure_ns": bd.Measure.Nanoseconds(),
 				"total_ns": bd.Total.Nanoseconds(),
 			},
+		}
+		for i, v := range bd.Counters {
+			if id := obs.CounterID(i); !id.Env() {
+				summary[id.Key()] = v
+			}
 		}
 		if len(t.res.PassProfile) > 0 {
 			rows := make([]any, 0, 20)

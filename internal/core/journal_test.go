@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // The journal must be deterministic modulo timing: the same seed with
@@ -97,12 +98,12 @@ func TestJournalFinalIncumbentMatchesResult(t *testing.T) {
 	if got := runEnd.Fields["measurements"]; got != res.Breakdown.Measures {
 		t.Fatalf("run-end measurements = %v, breakdown says %d", got, res.Breakdown.Measures)
 	}
-	// Summarize must agree with the raw events.
-	runs := obs.Summarize(events)
+	// The analyzer must agree with the raw events.
+	runs := analyze.SplitRuns(events)
 	if len(runs) != 1 {
-		t.Fatalf("Summarize found %d runs, want 1", len(runs))
+		t.Fatalf("SplitRuns found %d runs, want 1", len(runs))
 	}
-	if got := runs[0].BestSpeedup(); got != res.BestSpeedup {
+	if got := analyze.Analyze(runs[0]).BestSpeedup; got != res.BestSpeedup {
 		t.Fatalf("replayed best speedup = %v, want %v", got, res.BestSpeedup)
 	}
 }

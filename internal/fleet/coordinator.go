@@ -354,7 +354,7 @@ type JobBinding struct {
 	feat    core.FeatureKind
 
 	mu      sync.Mutex
-	agg     bench.CounterDelta
+	agg     obs.Counters
 	pending []core.EvalIncident // incidents discovered after their fan-out returned
 }
 
@@ -369,7 +369,7 @@ func (c *Coordinator) Bind(cfg JobConfig, ev *bench.Evaluator, localWorkers int)
 
 // Delta reports the accepted remote counter work so far (test hook and
 // introspection).
-func (b *JobBinding) Delta() bench.CounterDelta {
+func (b *JobBinding) Delta() obs.Counters {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.agg
@@ -402,38 +402,13 @@ func (b *JobBinding) EnsureLocal(ctx context.Context, module string, seq []strin
 // batch delta, minus the bytes held by uncounted warm compiles.
 func (b *JobBinding) Task() core.Task {
 	t := b.ev.Task().(*core.BenchTask)
-	t.CacheFn = func() (hits, misses int) {
-		h, m := b.ev.CacheCounters()
+	t.CountersFn = func() obs.Counters {
+		c := b.ev.Counters()
+		c[obs.PrefixSnapshotBytes] -= b.ev.WarmBytes()
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		return h + b.agg.CacheHits, m + b.agg.CacheMisses
-	}
-	t.PrefixFn = func() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int) {
-		s, r, bytes, e := b.ev.PrefixCounters()
-		bytes -= b.ev.WarmBytes()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return s + b.agg.PrefixSaved, r + b.agg.PrefixReplayed, bytes + b.agg.SnapshotBytes, e + b.agg.Evictions
-	}
-	t.CowFn = func() (shared, materialized int) {
-		s, m := b.ev.CowCounters()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return s + b.agg.CowShared, m + b.agg.CowMaterialized
-	}
-	t.BcFn = func() (loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64) {
-		bc := b.ev.BcCounters()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		// Remote deltas are structurally zero (runner batches compile but
-		// never execute); adding them keeps fleet totals defined as
-		// coordinator + accepted deltas like every other counter.
-		return bc.LoweredFuncs + b.agg.BcLoweredFuncs,
-			bc.BytecodeBytes + b.agg.BcBytecodeBytes,
-			bc.FusedSites + b.agg.BcFusedSites,
-			bc.SuperHits + b.agg.BcSuperHits,
-			bc.CodeHits + b.agg.BcCodeHits,
-			bc.CodeMisses + b.agg.BcCodeMisses
+		c.Add(b.agg)
+		return c
 	}
 	return t
 }

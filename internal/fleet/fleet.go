@@ -25,6 +25,7 @@ package fleet
 
 import (
 	"repro/internal/bench"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -104,9 +105,9 @@ type WireOutcome struct {
 // coordinator folds exactly one accepted delta per batch into the job's
 // aggregated counters.
 type BatchResult struct {
-	ID    string             `json:"id"`
-	Items []WireOutcome      `json:"items"`
-	Delta bench.CounterDelta `json:"delta"`
+	ID    string        `json:"id"`
+	Items []WireOutcome `json:"items"`
+	Delta obs.Counters  `json:"delta"`
 }
 
 // RunnerInfo is the registry view of one runner, served by the

@@ -158,7 +158,7 @@ func TestFleetJournalMatchesSingleProcess(t *testing.T) {
 	if c.cBatches.Value() == 0 {
 		t.Fatal("no batches were dispatched remotely")
 	}
-	if binding.Delta().Compilations == 0 {
+	if binding.Delta()[obs.CacheMisses] == 0 {
 		t.Fatal("no remote compilations were aggregated")
 	}
 }
@@ -290,7 +290,7 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	if c.cSteals.Value() != 1 {
 		t.Fatalf("steal counter = %d, want 1", c.cSteals.Value())
 	}
-	if got := binding.Delta().Compilations; got != 1 {
+	if got := binding.Delta()[obs.CacheMisses]; got != 1 {
 		t.Fatalf("accepted compilations = %d, want exactly 1 (duplicate delta must be discarded)", got)
 	}
 	// The straggler finishes later; its result is drained and discarded.
@@ -301,7 +301,7 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	if got := c.cDuplicates.Value(); got != 1 {
 		t.Fatalf("duplicates discarded = %d, want exactly 1", got)
 	}
-	if got := binding.Delta().Compilations; got != 1 {
+	if got := binding.Delta()[obs.CacheMisses]; got != 1 {
 		t.Fatalf("duplicate delta leaked into aggregation: %d compilations", got)
 	}
 	pend := binding.takePending()
@@ -396,7 +396,7 @@ func TestEmptyRegistryRunsLocallySilently(t *testing.T) {
 	if c.cFallbacks.Value() != 0 {
 		t.Fatal("fallback counter moved with an empty registry")
 	}
-	if got := binding.Delta(); got != (bench.CounterDelta{}) {
+	if got := binding.Delta(); got != (obs.Counters{}) {
 		t.Fatalf("local work leaked into remote aggregation: %+v", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // RunnerServer executes evaluation batches on behalf of a coordinator. It
@@ -124,7 +125,7 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
-	rs.logf("fleet runner: batch %s done (%d specs, +%d compiles)", req.ID, len(req.Specs), delta.Compilations)
+	rs.logf("fleet runner: batch %s done (%d specs, +%d cache misses)", req.ID, len(req.Specs), delta[obs.CacheMisses])
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

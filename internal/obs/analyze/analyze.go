@@ -22,7 +22,6 @@ package analyze
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -59,7 +58,7 @@ var Phases = []Phase{PhaseCompile, PhaseMeasure, PhaseGPFit, PhaseAcq, PhasePlan
 // The only stateful rule is the acquisition/compile overlap: the tuner's
 // acq-max wall time covers the candidate compile fan-out, so compile wall
 // observed since the last acq-max is subtracted from the acquisition share
-// (clamped at zero), mirroring RunSummary.BreakdownShares.
+// (clamped at zero), mirroring Report.BreakdownShares.
 type Attribution struct {
 	pendingCompileNS int64
 }
@@ -67,7 +66,7 @@ type Attribution struct {
 // Feed classifies one event, returning its phase and the CPU nanoseconds it
 // contributes. ok is false for events that carry no wall time.
 func (a *Attribution) Feed(e *obs.Event) (phase Phase, cpuNS int64, ok bool) {
-	wall := int64(fieldFloat(e.Fields, "wall_ns"))
+	wall := int64(obs.FieldFloat(e.Fields, "wall_ns"))
 	switch e.Type {
 	case "compile":
 		a.pendingCompileNS += wall
@@ -129,68 +128,6 @@ type ModuleReport struct {
 	Curve        []Step  `json:"curve,omitempty"`
 }
 
-// CacheReport is the cache-effectiveness view: the final cumulative counters
-// from cache-stats / prefix-cache-stats / gp-stats events plus the
-// measurement dedup observed on measure events.
-type CacheReport struct {
-	ModuleHits   int `json:"module_cache_hits"`
-	ModuleMisses int `json:"module_cache_misses"`
-
-	PrefixSavedPasses    int   `json:"prefix_saved_passes"`
-	PrefixReplayedPasses int   `json:"prefix_replayed_passes"`
-	PrefixSnapshotBytes  int64 `json:"prefix_snapshot_bytes"`
-	PrefixEvictions      int   `json:"prefix_evictions"`
-
-	GPFits    int `json:"gp_fits"`
-	GPAppends int `json:"gp_appends"`
-
-	// CowShared/CowMaterialized are the final cumulative copy-on-write
-	// clone counters from cow-stats events: module clones handed out
-	// sharing function bodies, and the subset that materialized private
-	// bodies because a pass mutated them. The gap is allocation work the
-	// COW layer avoided outright.
-	CowShared       int `json:"cow_shared"`
-	CowMaterialized int `json:"cow_materialized"`
-
-	// Bytecode measurement-engine counters from bc-stats events: functions
-	// lowered, bytecode bytes produced, superinstruction fusion sites and
-	// executions, and lowered-code cache hits/misses.
-	BcLoweredFuncs  int64 `json:"bc_lowered_funcs"`
-	BcBytecodeBytes int64 `json:"bc_bytecode_bytes"`
-	BcFusedSites    int64 `json:"bc_fused_sites"`
-	BcSuperHits     int64 `json:"bc_super_hits"`
-	BcCodeHits      int64 `json:"bc_code_hits"`
-	BcCodeMisses    int64 `json:"bc_code_misses"`
-
-	// EnvPools holds the final process-global pool/arena counters from the
-	// cow-stats event's env_-prefixed fields (sync.Pool gets/news, slab
-	// clone totals), when the journal retains them. Canonicalised journals
-	// strip these, so the map may be empty.
-	EnvPools map[string]uint64 `json:"env_pools,omitempty"`
-
-	// ReusedMeasurements counts duplicate-statistics candidates whose
-	// profiled value was reused without consuming budget.
-	ReusedMeasurements int `json:"reused_measurements"`
-}
-
-// CowShareRate is the fraction of COW clone handouts that never materialized
-// private function bodies — pure pointer-copy clones.
-func (c *CacheReport) CowShareRate() float64 {
-	if c.CowShared == 0 {
-		return 0
-	}
-	return float64(c.CowShared-c.CowMaterialized) / float64(c.CowShared)
-}
-
-// PrefixHitRate is the fraction of pipeline passes the prefix cache skipped.
-func (c *CacheReport) PrefixHitRate() float64 {
-	total := c.PrefixSavedPasses + c.PrefixReplayedPasses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.PrefixSavedPasses) / float64(total)
-}
-
 // Report is everything the analyzer can say about a journal. All durations
 // are nanoseconds on the run timeline (monotonic across checkpoint/resume
 // restarts: each process's recorder clock is spliced onto the previous one).
@@ -217,11 +154,37 @@ type Report struct {
 	Incumbents  []Step                   `json:"incumbents,omitempty"`
 	Curve       []Step                   `json:"curve,omitempty"`
 	Modules     map[string]*ModuleReport `json:"modules,omitempty"`
-	Cache       CacheReport              `json:"cache"`
+
+	// Counters holds every counter's final value: the last event of its
+	// group (see obs.Counters). env_ counters read zero in canonicalized
+	// journals.
+	Counters obs.Counters `json:"counters"`
+	// ReusedMeasurements counts duplicate-statistics candidates whose
+	// profiled value was reused without consuming budget.
+	ReusedMeasurements int `json:"reused_measurements"`
 
 	// Config/Final mirror the run-start / run-end fields of the last run.
 	Config map[string]any `json:"config,omitempty"`
 	Final  map[string]any `json:"final,omitempty"`
+}
+
+// PrefixHitRate is the fraction of pipeline passes the prefix cache skipped.
+func (r *Report) PrefixHitRate() float64 {
+	saved := r.Counters[obs.PrefixSavedPasses]
+	if total := saved + r.Counters[obs.PrefixReplayedPasses]; total > 0 {
+		return float64(saved) / float64(total)
+	}
+	return 0
+}
+
+// CowShareRate is the fraction of COW clone handouts that never materialized
+// private function bodies — pure pointer-copy clones.
+func (r *Report) CowShareRate() float64 {
+	shared := r.Counters[obs.CowShared]
+	if shared == 0 {
+		return 0
+	}
+	return float64(shared-r.Counters[obs.CowMaterialized]) / float64(shared)
 }
 
 // PhaseSeconds returns one phase's elapsed share in seconds.
@@ -302,7 +265,7 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		// [t - wall, t]. The acquisition interval spans its full wall (the
 		// sweep carves the nested compile segments out by priority), while
 		// its CPU share is the compile-free remainder from Attribution.
-		start := t - int64(fieldFloat(e.Fields, "wall_ns"))
+		start := t - int64(obs.FieldFloat(e.Fields, "wall_ns"))
 		if start < a.firstNS {
 			start = a.firstNS
 		}
@@ -325,24 +288,24 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		r.Iterations++
 	case "compile":
 		r.Compiles++
-		m := a.module(fieldString(f, "module"))
+		m := a.module(obs.FieldString(f, "module"))
 		if m != nil {
 			m.Compiles++
-			m.CompileNS += int64(fieldFloat(f, "wall_ns"))
+			m.CompileNS += int64(obs.FieldFloat(f, "wall_ns"))
 		}
 	case "measure":
-		ok := fieldBool(f, "ok")
-		reused := fieldBool(f, "reused")
+		ok := obs.FieldBool(f, "ok")
+		reused := obs.FieldBool(f, "reused")
 		if reused {
-			r.Cache.ReusedMeasurements++
+			r.ReusedMeasurements++
 		}
 		if ok && !reused {
 			r.Measurements++
 			step := Step{
-				Measurement: int(fieldFloat(f, "measurement")),
-				Speedup:     fieldFloat(f, "speedup"),
-				Best:        fieldFloat(f, "best"),
-				Module:      fieldString(f, "module"),
+				Measurement: int(obs.FieldFloat(f, "measurement")),
+				Speedup:     obs.FieldFloat(f, "speedup"),
+				Best:        obs.FieldFloat(f, "best"),
+				Module:      obs.FieldString(f, "module"),
 			}
 			r.Curve = append(r.Curve, step)
 			if m := a.module(step.Module); m != nil {
@@ -354,11 +317,11 @@ func (a *Analyzer) Feed(e *obs.Event) {
 			}
 		}
 	case "new-incumbent":
-		sp := fieldFloat(f, "speedup")
+		sp := obs.FieldFloat(f, "speedup")
 		r.Incumbents = append(r.Incumbents, Step{
-			Measurement: int(fieldFloat(f, "measurement")),
+			Measurement: int(obs.FieldFloat(f, "measurement")),
 			Speedup:     sp, Best: sp,
-			Module: fieldString(f, "module"),
+			Module: obs.FieldString(f, "module"),
 		})
 		if sp > r.BestSpeedup {
 			r.BestSpeedup = sp
@@ -367,35 +330,8 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		r.Checkpoints++
 	case "resume":
 		r.Resumes++
-	case "cache-stats":
-		r.Cache.ModuleHits = int(fieldFloat(f, "hits"))
-		r.Cache.ModuleMisses = int(fieldFloat(f, "misses"))
-	case "prefix-cache-stats":
-		r.Cache.PrefixSavedPasses = int(fieldFloat(f, "saved_passes"))
-		r.Cache.PrefixReplayedPasses = int(fieldFloat(f, "replayed_passes"))
-		r.Cache.PrefixSnapshotBytes = int64(fieldFloat(f, "snapshot_bytes"))
-		r.Cache.PrefixEvictions = int(fieldFloat(f, "evictions"))
-	case "cow-stats":
-		r.Cache.CowShared = int(fieldFloat(f, "shared"))
-		r.Cache.CowMaterialized = int(fieldFloat(f, "materialized"))
-		for k := range f {
-			if env, ok := strings.CutPrefix(k, "env_"); ok {
-				if r.Cache.EnvPools == nil {
-					r.Cache.EnvPools = map[string]uint64{}
-				}
-				r.Cache.EnvPools[env] = uint64(fieldFloat(f, k))
-			}
-		}
-	case "bc-stats":
-		r.Cache.BcLoweredFuncs = int64(fieldFloat(f, "lowered_funcs"))
-		r.Cache.BcBytecodeBytes = int64(fieldFloat(f, "bytecode_bytes"))
-		r.Cache.BcFusedSites = int64(fieldFloat(f, "fused_sites"))
-		r.Cache.BcSuperHits = int64(fieldFloat(f, "super_hits"))
-		r.Cache.BcCodeHits = int64(fieldFloat(f, "code_hits"))
-		r.Cache.BcCodeMisses = int64(fieldFloat(f, "code_misses"))
-	case "gp-stats":
-		r.Cache.GPFits = int(fieldFloat(f, "fits"))
-		r.Cache.GPAppends = int(fieldFloat(f, "appends"))
+	default:
+		r.Counters.ReadEvent(e)
 	}
 }
 
@@ -456,9 +392,6 @@ func (a *Analyzer) Report() *Report {
 // phase contributes its merged elapsed time.
 func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, criticalNS int64) {
 	elapsed = map[Phase]int64{}
-	if len(ivs) == 0 {
-		return elapsed, 0
-	}
 	type edge struct {
 		t     int64
 		open  bool
@@ -470,6 +403,9 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 			continue
 		}
 		edges = append(edges, edge{iv.startNS, true, iv.phase}, edge{iv.endNS, false, iv.phase})
+	}
+	if len(edges) == 0 {
+		return elapsed, 0 // no timed event has a nonzero wall
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].t != edges[j].t {

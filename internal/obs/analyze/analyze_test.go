@@ -118,15 +118,16 @@ func TestAnalyzeRealRun(t *testing.T) {
 	if r.Compiles != res.Breakdown.Compiles+baseline {
 		t.Fatalf("compiles %d != result %d + %d baseline", r.Compiles, res.Breakdown.Compiles, baseline)
 	}
-	if r.Cache.PrefixSavedPasses != res.Breakdown.PrefixSavedPasses ||
-		r.Cache.PrefixReplayedPasses != res.Breakdown.PrefixReplayedPasses {
+	bd := &res.Breakdown
+	if r.Counters[obs.PrefixSavedPasses] != bd.Counters[obs.PrefixSavedPasses] ||
+		r.Counters[obs.PrefixReplayedPasses] != bd.Counters[obs.PrefixReplayedPasses] {
 		t.Fatalf("prefix cache (%d,%d) != result (%d,%d)",
-			r.Cache.PrefixSavedPasses, r.Cache.PrefixReplayedPasses,
-			res.Breakdown.PrefixSavedPasses, res.Breakdown.PrefixReplayedPasses)
+			r.Counters[obs.PrefixSavedPasses], r.Counters[obs.PrefixReplayedPasses],
+			bd.Counters[obs.PrefixSavedPasses], bd.Counters[obs.PrefixReplayedPasses])
 	}
-	if r.Cache.GPFits != res.Breakdown.GPFits || r.Cache.GPAppends != res.Breakdown.GPAppends {
+	if r.Counters[obs.GPFits] != int64(bd.GPFits) || r.Counters[obs.GPAppends] != int64(bd.GPAppends) {
 		t.Fatalf("gp (%d,%d) != result (%d,%d)",
-			r.Cache.GPFits, r.Cache.GPAppends, res.Breakdown.GPFits, res.Breakdown.GPAppends)
+			r.Counters[obs.GPFits], r.Counters[obs.GPAppends], bd.GPFits, bd.GPAppends)
 	}
 	if len(r.Modules) == 0 {
 		t.Fatal("no per-module report")

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // WriteReport renders the full phase/cache/convergence report as the
@@ -23,7 +26,7 @@ func WriteReport(w io.Writer, r *Report) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "iterations: %d, compiles: %d, measurements: %d (+%d reused), checkpoints: %d, resumes: %d\n",
-		r.Iterations, r.Compiles, r.Measurements, r.Cache.ReusedMeasurements, r.Checkpoints, r.Resumes)
+		r.Iterations, r.Compiles, r.Measurements, r.ReusedMeasurements, r.Checkpoints, r.Resumes)
 	fmt.Fprintf(w, "best speedup: %.3fx\n", r.BestSpeedup)
 
 	fmt.Fprintln(w, "\nphase attribution (elapsed = run timeline, cpu = summed event walls):")
@@ -43,34 +46,26 @@ func WriteReport(w io.Writer, r *Report) {
 			time.Duration(pt.CPUNS).Round(time.Microsecond), par, pt.Events)
 	}
 
-	c := &r.Cache
+	fmt.Fprintln(w, "\ncounters (last value journaled per event):")
+	r.Counters.Write(w, "  ")
+	var env []string
+	for i, v := range r.Counters {
+		if id := obs.CounterID(i); id.Env() && v != 0 {
+			env = append(env, fmt.Sprintf("%s=%d", strings.TrimPrefix(id.Field(), "env_"), v))
+		}
+	}
+	if len(env) > 0 {
+		fmt.Fprintf(w, "  env pools: %s\n", strings.Join(env, " "))
+	}
+
 	fmt.Fprintln(w, "\ncache effectiveness:")
-	fmt.Fprintf(w, "  module cache: %d hits / %d misses\n", c.ModuleHits, c.ModuleMisses)
-	fmt.Fprintf(w, "  prefix cache: %d passes saved / %d replayed (%.1f%% of pipeline work skipped, %d snapshot bytes, %d evictions)\n",
-		c.PrefixSavedPasses, c.PrefixReplayedPasses, 100*c.PrefixHitRate(), c.PrefixSnapshotBytes, c.PrefixEvictions)
-	if c.CowShared > 0 {
-		fmt.Fprintf(w, "  cow clones: %d handed out / %d materialized (%.1f%% stayed shared)\n",
-			c.CowShared, c.CowMaterialized, 100*c.CowShareRate())
+	saved := r.Counters[obs.PrefixSavedPasses]
+	fmt.Fprintf(w, "  prefix cache: %.1f%% of pipeline work skipped (%d of %d passes)\n",
+		100*r.PrefixHitRate(), saved, saved+r.Counters[obs.PrefixReplayedPasses])
+	if shared := r.Counters[obs.CowShared]; shared > 0 {
+		fmt.Fprintf(w, "  cow clones: %.1f%% of %d handed out stayed shared\n", 100*r.CowShareRate(), shared)
 	}
-	if c.BcLoweredFuncs > 0 || c.BcCodeMisses > 0 {
-		fmt.Fprintf(w, "  bytecode engine: %d funcs lowered (%d bytes, %d fused sites), %d superinstruction hits, code cache %d hits / %d misses\n",
-			c.BcLoweredFuncs, c.BcBytecodeBytes, c.BcFusedSites,
-			c.BcSuperHits, c.BcCodeHits, c.BcCodeMisses)
-	}
-	if len(c.EnvPools) > 0 {
-		keys := make([]string, 0, len(c.EnvPools))
-		for k := range c.EnvPools {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprint(w, "  env pools:")
-		for _, k := range keys {
-			fmt.Fprintf(w, " %s=%d", k, c.EnvPools[k])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  surrogate: %d full fits / %d incremental appends\n", c.GPFits, c.GPAppends)
-	fmt.Fprintf(w, "  measurement dedup: %d duplicate-statistics candidates reused without budget\n", c.ReusedMeasurements)
+	fmt.Fprintf(w, "  measurement dedup: %d duplicate-statistics candidates reused without budget\n", r.ReusedMeasurements)
 
 	if len(r.Modules) > 0 {
 		fmt.Fprintln(w, "\nper-module:")

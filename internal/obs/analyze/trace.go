@@ -55,7 +55,7 @@ func ChromeTrace(events []obs.Event) *Trace {
 		for _, sp := range root.Children {
 			name := "iteration"
 			if sp.Open.Fields != nil {
-				name = "iteration " + itoa(int(fieldFloat(sp.Open.Fields, "iter")))
+				name = "iteration " + itoa(int(obs.FieldFloat(sp.Open.Fields, "iter")))
 			}
 			tr.slice(pid, tunerTID, name, "span", base, sp.StartNS, sp.EndNS, scrubArgs(sp.Open.Fields))
 			emitSpanEvents(tr, pid, base, sp, &compiles)
@@ -83,26 +83,26 @@ type interval3 struct {
 func emitSpanEvents(tr *Trace, pid int, base int64, sp *Span, compiles *[]interval3) {
 	for _, e := range sp.Events {
 		t := eventEnd(sp, e)
-		wall := int64(fieldFloat(e.Fields, "wall_ns"))
+		wall := int64(obs.FieldFloat(e.Fields, "wall_ns"))
 		start := t - wall
 		if start < base {
 			start = base
 		}
 		switch e.Type {
 		case "compile":
-			*compiles = append(*compiles, interval3{start, t, "compile " + fieldString(e.Fields, "module"), scrubArgs(e.Fields)})
+			*compiles = append(*compiles, interval3{start, t, "compile " + obs.FieldString(e.Fields, "module"), scrubArgs(e.Fields)})
 		case "measure":
-			tr.slice(pid, tunerTID, "measure "+fieldString(e.Fields, "module"), string(PhaseMeasure), base, start, t, scrubArgs(e.Fields))
+			tr.slice(pid, tunerTID, "measure "+obs.FieldString(e.Fields, "module"), string(PhaseMeasure), base, start, t, scrubArgs(e.Fields))
 		case "gp-fit":
 			name := "gp refit"
-			if fieldBool(e.Fields, "appended") {
+			if obs.FieldBool(e.Fields, "appended") {
 				name = "gp append"
 			}
 			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, start, t, scrubArgs(e.Fields))
 		case "acq-max":
 			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, start, t, scrubArgs(e.Fields))
 		case "planner-build":
-			tr.slice(pid, tunerTID, "planner "+fieldString(e.Fields, "module"), string(PhasePlanner), base, start, t, scrubArgs(e.Fields))
+			tr.slice(pid, tunerTID, "planner "+obs.FieldString(e.Fields, "module"), string(PhasePlanner), base, start, t, scrubArgs(e.Fields))
 		case "new-incumbent":
 			tr.instant(pid, tunerTID, "new incumbent", base, t, scrubArgs(e.Fields))
 		case "checkpoint":
@@ -180,7 +180,7 @@ func (t *Trace) meta(pid, tid int, name string, args map[string]any) {
 
 func processName(root *Span, idx int) string {
 	if f := root.Open.Fields; f != nil {
-		return "citroen run " + itoa(idx+1) + " (budget " + itoa(int(fieldFloat(f, "budget"))) + ")"
+		return "citroen run " + itoa(idx+1) + " (budget " + itoa(int(obs.FieldFloat(f, "budget"))) + ")"
 	}
 	return "citroen run " + itoa(idx+1)
 }

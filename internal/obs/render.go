@@ -42,72 +42,46 @@ var renderers = map[string]func(w io.Writer, e *Event){
 	"compile": func(w io.Writer, e *Event) {
 		f := e.Fields
 		status := "ok"
-		if !fieldBool(f, "ok") {
+		if !FieldBool(f, "ok") {
 			status = "FAILED"
 		}
 		fmt.Fprintf(w, "  compile   module %-14s %3d passes  %s (%v)\n",
 			f["module"], fieldInt(f, "seq_len"), status,
-			time.Duration(fieldInt64(f, "wall_ns")).Round(time.Microsecond))
+			time.Duration(FieldFloat(f, "wall_ns")).Round(time.Microsecond))
 	},
 	"gp-fit": func(w io.Writer, e *Event) {
 		f := e.Fields
 		mode := "refit"
-		if fieldBool(f, "appended") {
+		if FieldBool(f, "appended") {
 			mode = "append"
 		}
 		fmt.Fprintf(w, "  gp-fit: %d points, %d dims (%s)\n",
 			fieldInt(f, "points"), fieldInt(f, "dim"), mode)
 	},
-	"gp-stats": func(w io.Writer, e *Event) {
-		fmt.Fprintf(w, "  gp: %d full fits / %d incremental appends\n",
-			fieldInt(e.Fields, "fits"), fieldInt(e.Fields, "appends"))
-	},
 	"acq-max": func(w io.Writer, e *Event) {
 		f := e.Fields
 		dup := ""
-		if fieldBool(f, "dup") {
+		if FieldBool(f, "dup") {
 			dup = " (duplicate statistics)"
 		}
 		fmt.Fprintf(w, "  acq: argmax over %d candidates -> module %v (af %.4g, %d novel dims)%s\n",
-			fieldInt(f, "candidates"), f["module"], fieldFloat(f, "af"),
+			fieldInt(f, "candidates"), f["module"], FieldFloat(f, "af"),
 			fieldInt(f, "novel_dims"), dup)
 	},
 	"measure": func(w io.Writer, e *Event) {
 		f := e.Fields
-		if !fieldBool(f, "ok") {
+		if !FieldBool(f, "ok") {
 			fmt.Fprintf(w, "  meas ---  module %-14s FAILED (differential test or build)\n", f["module"])
 			return
 		}
-		if fieldBool(f, "reused") {
+		if FieldBool(f, "reused") {
 			fmt.Fprintf(w, "  meas ---  module %-14s speedup %.3fx  (duplicate statistics, measurement reused)\n",
-				f["module"], fieldFloat(f, "speedup"))
+				f["module"], FieldFloat(f, "speedup"))
 			return
 		}
 		fmt.Fprintf(w, "  meas %3d  module %-14s speedup %.3fx  best %.3fx\n",
 			fieldInt(f, "measurement"), f["module"],
-			fieldFloat(f, "speedup"), fieldFloat(f, "best"))
-	},
-	"cache-stats": func(w io.Writer, e *Event) {
-		fmt.Fprintf(w, "  cache: %d hits / %d misses\n",
-			fieldInt(e.Fields, "hits"), fieldInt(e.Fields, "misses"))
-	},
-	"prefix-cache-stats": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  prefix: %d passes saved / %d replayed (%d snapshot bytes, %d evictions)\n",
-			fieldInt(f, "saved_passes"), fieldInt(f, "replayed_passes"),
-			fieldInt64(f, "snapshot_bytes"), fieldInt(f, "evictions"))
-	},
-	"cow-stats": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  cow: %d shared clones / %d materialized\n",
-			fieldInt(f, "shared"), fieldInt(f, "materialized"))
-	},
-	"bc-stats": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  bc: %d funcs lowered (%d bytes, %d fused sites), %d super hits, code cache %d/%d\n",
-			fieldInt64(f, "lowered_funcs"), fieldInt64(f, "bytecode_bytes"),
-			fieldInt64(f, "fused_sites"), fieldInt64(f, "super_hits"),
-			fieldInt64(f, "code_hits"), fieldInt64(f, "code_misses"))
+			FieldFloat(f, "speedup"), FieldFloat(f, "best"))
 	},
 	"planner-build": func(w io.Writer, e *Event) {
 		f := e.Fields
@@ -123,21 +97,32 @@ var renderers = map[string]func(w io.Writer, e *Event){
 	"new-incumbent": func(w io.Writer, e *Event) {
 		f := e.Fields
 		fmt.Fprintf(w, "  ** new incumbent: %.3fx (module %v, measurement %d)\n",
-			fieldFloat(f, "speedup"), f["module"], fieldInt(f, "measurement"))
+			FieldFloat(f, "speedup"), f["module"], fieldInt(f, "measurement"))
 	},
 	"checkpoint": func(w io.Writer, e *Event) {
 		fmt.Fprintf(w, "  checkpoint: %d measurements, best %.3fx\n",
-			fieldInt(e.Fields, "measurements"), fieldFloat(e.Fields, "best"))
+			fieldInt(e.Fields, "measurements"), FieldFloat(e.Fields, "best"))
 	},
 	"resume": func(w io.Writer, e *Event) {
 		fmt.Fprintf(w, "resume: replayed %d observations, best %.3fx\n",
-			fieldInt(e.Fields, "replayed"), fieldFloat(e.Fields, "best"))
+			fieldInt(e.Fields, "replayed"), FieldFloat(e.Fields, "best"))
 	},
 	"run-end": func(w io.Writer, e *Event) {
 		f := e.Fields
 		fmt.Fprintf(w, "run-end: best %.3fx, %d measurements, %d compilations\n",
-			fieldFloat(f, "best_speedup"), fieldInt(f, "measurements"), fieldInt(f, "compilations"))
+			FieldFloat(f, "best_speedup"), fieldInt(f, "measurements"), fieldInt(f, "compilations"))
 	},
+}
+
+// Counter-group events render generically: "  <group>: field value, ...".
+func init() {
+	for _, g := range CounterGroups {
+		renderers[g.Event] = func(w io.Writer, e *Event) {
+			var c Counters
+			g, _ := c.ReadEvent(e)
+			fmt.Fprintf(w, "  %s: %s\n", g.Name, c.format(g))
+		}
+	}
 }
 
 // RenderedTypes returns the sorted event types the text renderer displays.
@@ -166,4 +151,4 @@ func (t *TextRenderer) Emit(e *Event) {
 	t.mu.Unlock()
 }
 
-func fieldInt64(f map[string]any, key string) int64 { return int64(fieldFloat(f, key)) }
+func fieldInt(f map[string]any, key string) int { return int(FieldFloat(f, key)) }

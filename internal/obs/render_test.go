@@ -8,21 +8,19 @@ import (
 )
 
 // emitAll drives every event-emitting Recorder method exactly once and
-// returns the recorder's method count, so the coverage test fails loudly
+// returns the number of events that must produce (one per method, plus one
+// per extra counter group for Counters), so the coverage test fails loudly
 // when a new emit method appears without being added here.
-func emitAll(r *Recorder) (emitterMethods int) {
+func emitAll(r *Recorder) (wantEvents int) {
 	run := r.RunStart(map[string]any{"budget": 10, "lambda": 9, "feature": "stats", "hot_modules": []string{"m"}})
 	iter := r.Iteration(run, 1, 3)
 	r.CandidateGenerated(iter, "m", "des", 12, 99)
 	r.Compile(iter, "m", 12, 99, true, time.Millisecond)
 	r.GPFit(iter, 20, 8, false, time.Millisecond)
-	r.GPStats(iter, 2, 5)
 	r.AcqMax(iter, 9, "m", 0.5, false, 2, time.Millisecond)
 	r.Measure(iter, "m", 3, 1000, 1.2, 1.3, true, false, time.Millisecond)
-	r.CacheStats(iter, 4, 6)
-	r.PrefixCache(iter, 100, 40, 1<<20, 2)
-	r.CowStats(iter, 50, 12, map[string]uint64{"machine_pool_gets": 7})
-	r.BcStats(iter, 9, 5000, 14, 120000, 40, 3)
+	c := Counters{CacheHits: 4, CacheMisses: 6, PrefixSavedPasses: 100, EnvMachinePoolGets: 7, BcSuperHits: 120000, GPFits: 2}
+	r.Counters(iter, &c, 0)
 	r.PlannerBuild(run, "m", 30, 200, 5, 18, time.Millisecond)
 	r.FleetIncident(iter, "retry", "r1", "m", 2)
 	r.NewIncumbent(iter, "m", 3, 1.3)
@@ -36,10 +34,10 @@ func emitAll(r *Recorder) (emitterMethods int) {
 	typ := reflect.TypeOf(r)
 	for i := 0; i < typ.NumMethod(); i++ {
 		if !nonEmitters[typ.Method(i).Name] {
-			emitterMethods++
+			wantEvents++
 		}
 	}
-	return emitterMethods
+	return wantEvents + len(CounterGroups) - 1
 }
 
 // Every event type a Recorder can emit must have a text renderer: a new
@@ -47,11 +45,11 @@ func emitAll(r *Recorder) (emitterMethods int) {
 // this test exists to prevent.
 func TestRendererCoversAllEventTypes(t *testing.T) {
 	mem := &MemorySink{}
-	emitters := emitAll(NewRecorder(mem))
+	want := emitAll(NewRecorder(mem))
 	events := mem.Events()
-	if len(events) != emitters {
-		t.Fatalf("emitAll drove %d events but *Recorder has %d emit methods — update emitAll for the new method(s)",
-			len(events), emitters)
+	if len(events) != want {
+		t.Fatalf("emitAll drove %d events but *Recorder's emit methods make %d — update emitAll for the new method(s)",
+			len(events), want)
 	}
 
 	rendered := map[string]bool{}
