@@ -36,10 +36,12 @@ type BatchItem struct {
 // returns per-spec results plus the change the batch caused in the
 // evaluator's counters (Counters). A coordinator sums accepted batch deltas
 // onto its own evaluator's counters to reproduce the single-process totals
-// (snapshot_bytes is a net byte change, so eviction inside a batch
-// subtracts). Batches are serialised per evaluator (batchMu) so the delta is
-// attributable to exactly this batch; a cancelled ctx leaves unexecuted
-// items !Ok with the context error returned.
+// (snapshot_bytes is a net byte change, so the eviction that ends the batch
+// subtracts). Each batch ends with a serial step of the snapshot cache (see
+// evictLocked) before its delta is taken. Batches are serialised per
+// evaluator (batchMu) so the delta is attributable to exactly this batch; a
+// cancelled ctx leaves unexecuted items !Ok with the context error
+// returned.
 func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]int, workers int) ([]BatchItem, obs.Counters, error) {
 	ev.batchMu.Lock()
 	defer ev.batchMu.Unlock()
@@ -57,11 +59,12 @@ func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]
 		}
 		items[i].Mod, items[i].Stats, items[i].Ok = m, st, true
 	})
+	ev.serialStep()
 	return items, ev.Counters().Sub(before), err
 }
 
 // WarmCompile compiles (dataset 0, module, seq) with all work accounting
-// suppressed: no hit/miss/compilation/prefix counters move, and any
+// suppressed: no hit/miss/prefix counters move, and any
 // snapshot bytes it retains are tracked in WarmBytes instead of counting as
 // search work. The coordinator uses it to pre-install a remotely-compiled
 // candidate into the measuring evaluator's cache, so the measure path's

@@ -5,7 +5,6 @@
 package bench
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -237,12 +236,6 @@ type Platform struct {
 func ARM() Platform { return Platform{Prof: machine.CortexA57(), NoiseStd: 0.006} }
 func X86() Platform { return Platform{Prof: machine.Zen3(), NoiseStd: 0.004} }
 
-// DefaultCacheCap is the default snapshot-cache capacity (entries). A single
-// build now retains one snapshot per stride boundary rather than one entry
-// total, so the entry cap is a generous backstop — SnapshotBudget (bytes) is
-// the bound that matters for memory on long tuning runs.
-const DefaultCacheCap = 4096
-
 // Evaluator compiles benchmark modules under pass sequences and measures the
 // result, implementing the compile→stats→profile→differential-test cycle.
 //
@@ -254,33 +247,31 @@ type Evaluator struct {
 	Plat     Platform
 	Datasets int
 	Runs     int // timing repetitions per measurement
-	// CacheCap bounds the snapshot cache's entry count: 0 means
-	// DefaultCacheCap, negative disables memoisation entirely (every compile
-	// re-runs the full pipeline, the pre-cache behaviour).
-	CacheCap int
-	// SnapshotEvery is the prefix-snapshot stride in passes: intermediate
-	// module states are retained every SnapshotEvery passes so later
-	// candidates resume from their longest cached prefix. 0 means
-	// DefaultSnapshotEvery; negative keeps only final states (the old
-	// exact-sequence cache, useful as a benchmarking baseline).
-	SnapshotEvery int
-	// SnapshotBudget bounds the estimated bytes held by snapshots
-	// (Module.ApproxBytes). 0 means DefaultSnapshotBudget; negative is
-	// unbounded (entry cap still applies).
-	SnapshotBudget int64
-	meas           *machine.Measurement
-	pristine       [][]*ir.Module // per dataset
-	refOut         [][]machine.OutputEvent
-	o3Time         float64
-	o3Stats        passes.Stats
+	meas     *machine.Measurement
+	pristine [][]*ir.Module // per dataset
+	refOut   [][]machine.OutputEvent
+	o3Time   float64
+	o3Stats  passes.Stats
+
+	// Cache policy, set from the defaults in prefixcache.go. cacheCap bounds
+	// the snapshot count (negative disables memoisation entirely: every
+	// compile re-runs the full pipeline, the no-memo oracle); snapshotEvery
+	// is the snapshot stride in passes (≤ 0 keeps only final states, the
+	// exact-sequence baseline); snapshotBudget bounds the estimated bytes
+	// held by snapshots (Module.ApproxBytes) after each serial step.
+	cacheCap       int
+	snapshotEvery  int
+	snapshotBudget int64
 
 	// Prefix-snapshot cache (see prefixcache.go): (dataset, module, prefix
 	// hash, depth) → immutable module state + stats. Guarded by mu together
-	// with flights and all counters below.
-	mu      sync.Mutex
-	snaps   map[snapKey]*list.Element
-	lru     *list.List // front = most recently used *snapEntry
-	flights map[seqKey]*flight
+	// with all counters below.
+	mu    sync.Mutex
+	snaps map[snapKey]*snapEntry
+	// epoch counts the serial steps so far; epochBytes is the snapshot bytes
+	// first retained since the last one (see evictLocked).
+	epoch      int64
+	epochBytes int64
 	// ctr holds the counters of the set the evaluator increments itself
 	// (compiled-module cache, prefix snapshots, COW clones; see Counters).
 	// COW accounting is deterministic: derived from hit/miss/snapshot
@@ -301,20 +292,11 @@ type Evaluator struct {
 	// individual compiles stay concurrent inside a batch.
 	batchMu sync.Mutex
 
-	// Counters for Fig 5.12-style accounting. Compilations counts actual
-	// pass-pipeline executions (cache hits do not re-run pipelines).
-	Compilations int
-	Measurements int
-
-	// Optional observability (SetObs); all nil until enabled. prof collects
+	// Optional observability (SetObs); both nil until enabled. prof collects
 	// per-pass wall time and stats deltas; gauges mirror the counter set
 	// into the metrics registry.
-	prof        *passes.Profile
-	obsComp     *obs.Counter
-	obsMeas     *obs.Counter
-	gauges      *obs.CounterGauges
-	obsAnalHits *obs.Gauge
-	obsAnalMiss *obs.Gauge
+	prof   *passes.Profile
+	gauges *obs.CounterGauges
 
 	// bc0 is the measurement machine's bytecode-engine counter state at the
 	// end of construction, so BcCounters reports search work only (the
@@ -323,22 +305,13 @@ type Evaluator struct {
 	bc0 machine.BcStats
 }
 
-// seqKey identifies one full (dataset, module, sequence) build; used to
-// deduplicate concurrent in-flight compilations.
-type seqKey struct {
-	dataset int
-	module  string
-	hash    uint64
-}
-
 // NewEvaluator builds the evaluator and its -O3 baseline.
 func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	ev := &Evaluator{
 		Bench: b, Plat: plat, Datasets: 2, Runs: 3,
 		meas:     machine.NewMeasurement(machine.New(plat.Prof), plat.NoiseStd, seed),
-		snaps:    map[snapKey]*list.Element{},
-		lru:      list.New(),
-		flights:  map[seqKey]*flight{},
+		cacheCap: defaultCacheCap, snapshotEvery: defaultSnapshotEvery, snapshotBudget: defaultSnapshotBudget,
+		snaps:    map[snapKey]*snapEntry{},
 		modBytes: map[*ir.Module]*modRef{},
 	}
 	for ds := 0; ds < ev.Datasets; ds++ {
@@ -369,13 +342,14 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 		return nil, err
 	}
 	ev.o3Time, ev.o3Stats = t, st
-	// The baseline build is setup, not search work: reset the accounting so
-	// counters reflect what the tuner spends. The O3-compiled modules (and
-	// their prefix snapshots) stay in the cache — every later measurement
-	// reuses them for unchanged modules, and candidates that extend or mutate
-	// the O3 pipeline resume from its snapshots.
-	ev.Compilations, ev.Measurements = 0, 0
+	// The baseline build is setup, not search work: close its epoch (the
+	// first serial step), then reset the accounting so counters reflect what
+	// the tuner spends. The O3-compiled modules (and their prefix snapshots)
+	// stay in the cache — every later measurement reuses them for unchanged
+	// modules, and candidates that extend or mutate the O3 pipeline resume
+	// from its snapshots.
 	ev.mu.Lock()
+	ev.evictLocked()
 	ev.ctr = obs.Counters{}
 	ev.mu.Unlock()
 	// Snapshot the bytecode-engine counters accumulated by the baseline and
@@ -431,7 +405,7 @@ func (ev *Evaluator) CompileModuleCtx(ctx context.Context, name string, seq []st
 // before obs.TaskCounters) since it was built; the baseline build does not
 // count. Cache, prefix-snapshot and COW counters are kept under mu, the
 // bytecode counters come from the measurement machine (BcCounters) and the
-// env_ counters from the process-global pools and arenas.
+// env_ counters from the process-global pools, arenas and analysis cache.
 func (ev *Evaluator) Counters() obs.Counters {
 	ev.mu.Lock()
 	c := ev.ctr
@@ -447,6 +421,7 @@ func (ev *Evaluator) Counters() obs.Counters {
 	c[obs.EnvIRCloneMaterialized] = int64(materialized)
 	c[obs.EnvIRCloneSlabFuncs] = int64(slabFuncs)
 	c[obs.EnvIRCloneStrayInstrs] = int64(stray)
+	c[obs.EnvIRAnalysisHits], c[obs.EnvIRAnalysisMisses] = ir.AnalysisCacheCounters()
 	c[obs.EnvMachinePoolGets] = int64(machGets)
 	c[obs.EnvMachinePoolNews] = int64(machNews)
 	c[obs.EnvPassesPoolGets] = int64(passGets)
@@ -478,33 +453,26 @@ func (ev *Evaluator) CowCounters() (shared, materialized int) {
 	return int(c[obs.CowShared]), int(c[obs.CowMaterialized])
 }
 
-// mirrorCounters copies the evaluator's counters and the process-global
-// analysis-cache counters into the registry (no-op until SetObs). The env_
-// and analysis-cache values are scheduling-dependent environment metrics.
+// mirrorCounters copies the evaluator's counters into the registry (no-op
+// until SetObs).
 func (ev *Evaluator) mirrorCounters() {
 	if ev.gauges == nil {
 		return
 	}
 	c := ev.Counters()
 	ev.gauges.Set(&c, 0, obs.TaskCounters)
-	h, m := ir.AnalysisCacheCounters()
-	ev.obsAnalHits.Set(float64(h))
-	ev.obsAnalMiss.Set(float64(m))
 }
 
 // SetObs attaches the evaluator to a metrics registry (its counter set,
-// mirrored after every compile and measurement, compilation and measurement
-// counters, and a histogram of simulated run cycles) and, when prof is
-// non-nil, enables per-pass profiling of every pipeline execution. Call before tuning starts: CompileModule runs concurrently and the fields
-// set here are not guarded for mid-run replacement. A nil registry yields
-// live but unregistered instruments.
+// mirrored after every compile miss and measurement, and a histogram of
+// simulated run cycles) and, when prof is non-nil, enables per-pass
+// profiling of every pipeline execution. Call before tuning starts:
+// CompileModule runs concurrently and the fields set here are not guarded
+// for mid-run replacement. A nil registry yields live but unregistered
+// instruments.
 func (ev *Evaluator) SetObs(m *obs.Metrics, prof *passes.Profile) {
 	ev.prof = prof
-	ev.obsComp = m.Counter("bench_compilations_total")
-	ev.obsMeas = m.Counter("bench_measurements_total")
 	ev.gauges = m.CounterGauges()
-	ev.obsAnalHits = m.Gauge("ir_analysis_cache_hits")
-	ev.obsAnalMiss = m.Gauge("ir_analysis_cache_misses")
 	h := m.Histogram("machine_run_cycles", obs.CyclesBuckets)
 	ev.meas.OnSample = func(cycles float64, _ time.Duration) { h.Observe(cycles) }
 }
@@ -546,10 +514,6 @@ func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]st
 		if err != nil {
 			return 0, nil, err
 		}
-		ev.Measurements++
-		if ev.obsMeas != nil {
-			ev.obsMeas.Inc()
-		}
 		t, res, err := ev.meas.TimeMedian(img, "main", ev.Runs)
 		if err != nil {
 			return 0, nil, err
@@ -575,9 +539,11 @@ func (ev *Evaluator) Measure(seqs map[string][]string) (timeCycles, speedup floa
 
 // MeasureCtx is Measure under a cancellable context: a cancelled ctx aborts
 // between dataset builds instead of finishing the full differential-test
-// cycle.
+// cycle. Every call, failed or not, ends with a serial step of the snapshot
+// cache (see evictLocked).
 func (ev *Evaluator) MeasureCtx(ctx context.Context, seqs map[string][]string) (timeCycles, speedup float64, err error) {
 	t, _, err := ev.timeWithSequences(ctx, seqs)
+	ev.serialStep()
 	ev.mirrorCounters()
 	if err != nil {
 		return 0, 0, err

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -95,8 +96,8 @@ func TestCompileModuleStats(t *testing.T) {
 	if stBlocked["SLP.NumVectorInstructions"] != 0 {
 		t.Fatalf("instcombine between mem2reg and slp must block SLP on ARM: %v", stBlocked)
 	}
-	if ev.Compilations != 2 {
-		t.Fatalf("compilations = %d", ev.Compilations)
+	if misses := ev.Counters()[obs.CacheMisses]; misses != 2 {
+		t.Fatalf("compilations = %d", misses)
 	}
 }
 
@@ -183,16 +184,16 @@ func TestEvaluatorCacheReusesIncumbentCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Compilations != 0 {
-		t.Fatalf("counters not reset after baseline: %d", ev.Compilations)
+	if misses := ev.Counters()[obs.CacheMisses]; misses != 0 {
+		t.Fatalf("counters not reset after baseline: %d", misses)
 	}
 	// The O3 baseline modules were cached during construction: re-measuring
 	// the O3 build must not compile anything.
 	if _, _, err := ev.Measure(nil); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Compilations != 0 {
-		t.Fatalf("O3 incumbents recompiled: %d pipeline runs", ev.Compilations)
+	if misses := ev.Counters()[obs.CacheMisses]; misses != 0 {
+		t.Fatalf("O3 incumbents recompiled: %d pipeline runs", misses)
 	}
 	hits, misses := ev.CacheCounters()
 	if hits == 0 || misses != 0 {
@@ -204,8 +205,8 @@ func TestEvaluatorCacheReusesIncumbentCompiles(t *testing.T) {
 	if _, _, err := ev.Measure(seqs); err != nil {
 		t.Fatal(err)
 	}
-	afterChange := ev.Compilations
-	if afterChange != ev.Datasets {
+	afterChange := ev.Counters()[obs.CacheMisses]
+	if afterChange != int64(ev.Datasets) {
 		t.Fatalf("changed module: %d pipeline runs, want %d (one per dataset)",
 			afterChange, ev.Datasets)
 	}
@@ -213,9 +214,9 @@ func TestEvaluatorCacheReusesIncumbentCompiles(t *testing.T) {
 	if _, _, err := ev.Measure(seqs); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Compilations != afterChange {
+	if misses := ev.Counters()[obs.CacheMisses]; misses != afterChange {
 		t.Fatalf("unchanged incumbents recompiled: %d -> %d pipeline runs",
-			afterChange, ev.Compilations)
+			afterChange, misses)
 	}
 }
 
@@ -231,7 +232,7 @@ func TestEvaluatorCacheDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.CacheCap = -1
+	plain.cacheCap = -1
 	seqs := map[string][]string{"long_term": {"mem2reg", "slp-vectorizer", "dce"}}
 	for i := 0; i < 3; i++ {
 		tc, spc, err := cached.Measure(seqs)
@@ -252,20 +253,20 @@ func TestEvaluatorCacheDoesNotChangeResults(t *testing.T) {
 	if h, _ := cached.CacheCounters(); h == 0 {
 		t.Fatal("cache never hit on repeated measurements")
 	}
-	if plain.Compilations <= cached.Compilations {
-		t.Fatalf("cache saved nothing: %d vs %d pipeline runs",
-			cached.Compilations, plain.Compilations)
+	if cm, pm := cached.Counters()[obs.CacheMisses], plain.Counters()[obs.CacheMisses]; pm <= cm {
+		t.Fatalf("cache saved nothing: %d vs %d pipeline runs", cm, pm)
 	}
 }
 
-// TestEvaluatorCacheEviction bounds the cache: with a tiny capacity the LRU
-// must evict rather than grow, and evictions must not corrupt results.
+// TestEvaluatorCacheEviction bounds the cache: with a tiny capacity every
+// Measure must end with the cache back at the cap, and evictions must not
+// corrupt results.
 func TestEvaluatorCacheEviction(t *testing.T) {
 	ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.CacheCap = 2
+	ev.cacheCap = 2
 	ref, _, err := ev.Measure(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +283,8 @@ func TestEvaluatorCacheEviction(t *testing.T) {
 		if seqs == nil && tm <= 0 {
 			t.Fatalf("round %d: bad time %v (ref %v)", i, tm, ref)
 		}
-	}
-	if ev.lru.Len() > 2 {
-		t.Fatalf("cache grew past its cap: %d entries", ev.lru.Len())
+		if n := len(ev.snaps); n > 2 {
+			t.Fatalf("round %d: cache grew past its cap: %d entries", i, n)
+		}
 	}
 }

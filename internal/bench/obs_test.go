@@ -25,78 +25,102 @@ func obsTunerOpts() core.Options {
 // same canonical event stream for Workers=1 and Workers=8, and the journal
 // must agree with the returned Result.
 func TestJournalEndToEndWorkerEquality(t *testing.T) {
-	run := func(workers int) ([]obs.Event, *core.Result, *obs.Metrics) {
-		ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		met := obs.NewMetrics()
-		ev.SetObs(met, passes.NewProfile())
-		var buf bytes.Buffer
-		sink := obs.NewJSONLSink(&buf)
-		o := obsTunerOpts()
-		o.Workers = workers
-		o.Sink = sink
-		o.Metrics = met
-		res, err := core.NewTuner(ev.Task(), o, 5).Run()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		events, err := obs.ReadJournal(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return events, res, met
-	}
+	evicting := core.DefaultOptions()
+	evicting.Budget = 8
+	for _, in := range []struct {
+		name string
+		seed int64
+		opts core.Options
+		// snapBudget replaces the snapshot byte budget when nonzero. The
+		// default 64 MiB is never filled by the first run; 4 MiB makes the
+		// second evict, which must not make any counter schedule-dependent.
+		snapBudget int64
+	}{
+		{"default-budget", 5, obsTunerOpts(), 0},
+		{"evicting", 1, evicting, 4 << 20},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			run := func(workers int) ([]obs.Event, *core.Result, *obs.Metrics) {
+				ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), in.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if in.snapBudget != 0 {
+					ev.snapshotBudget = in.snapBudget
+				}
+				met := obs.NewMetrics()
+				ev.SetObs(met, passes.NewProfile())
+				var buf bytes.Buffer
+				sink := obs.NewJSONLSink(&buf)
+				o := in.opts
+				o.Workers = workers
+				o.Sink = sink
+				o.Metrics = met
+				res, err := core.NewTuner(ev.Task(), o, in.seed).Run()
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if err := sink.Close(); err != nil {
+					t.Fatal(err)
+				}
+				events, err := obs.ReadJournal(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return events, res, met
+			}
 
-	evS, resS, metS := run(1)
-	evP, resP, _ := run(8)
+			evS, resS, metS := run(1)
+			evP, resP, _ := run(8)
 
-	if len(evS) == 0 {
-		t.Fatal("no events journaled")
-	}
-	cS, cP := obs.Canonicalize(evS), obs.Canonicalize(evP)
-	if len(cS) != len(cP) {
-		t.Fatalf("event counts differ: %d vs %d", len(cS), len(cP))
-	}
-	for i := range cS {
-		if !reflect.DeepEqual(cS[i], cP[i]) {
-			t.Fatalf("event %d differs between Workers=1 and Workers=8:\n%+v\nvs\n%+v", i, cS[i], cP[i])
-		}
-	}
-	if resS.BestSpeedup != resP.BestSpeedup {
-		t.Fatalf("best speedup differs: %v vs %v", resS.BestSpeedup, resP.BestSpeedup)
-	}
+			if len(evS) == 0 {
+				t.Fatal("no events journaled")
+			}
+			cS, cP := obs.Canonicalize(evS), obs.Canonicalize(evP)
+			if len(cS) != len(cP) {
+				t.Fatalf("event counts differ: %d vs %d", len(cS), len(cP))
+			}
+			for i := range cS {
+				if !reflect.DeepEqual(cS[i], cP[i]) {
+					t.Fatalf("event %d differs between Workers=1 and Workers=8:\n%+v\nvs\n%+v", i, cS[i], cP[i])
+				}
+			}
+			evictions := obs.FieldFloat(evS[len(evS)-1].Fields, obs.PrefixEvictions.Key())
+			if (in.snapBudget != 0) != (evictions > 0) {
+				t.Fatalf("run-end %s = %v with snapshot budget %d", obs.PrefixEvictions.Key(), evictions, in.snapBudget)
+			}
+			if resS.BestSpeedup != resP.BestSpeedup {
+				t.Fatalf("best speedup differs: %v vs %v", resS.BestSpeedup, resP.BestSpeedup)
+			}
 
-	// Replayed journal agrees with the Result.
-	runs := analyze.SplitRuns(evS)
-	if len(runs) != 1 {
-		t.Fatalf("SplitRuns found %d runs, want 1", len(runs))
-	}
-	rep := analyze.Analyze(runs[0])
-	if got := rep.BestSpeedup; got != resS.BestSpeedup {
-		t.Fatalf("replayed best speedup %v != Result %v", got, resS.BestSpeedup)
-	}
-	if len(rep.PassProfile()) == 0 {
-		t.Fatal("run-end event carries no pass profile")
-	}
+			// Replayed journal agrees with the Result.
+			runs := analyze.SplitRuns(evS)
+			if len(runs) != 1 {
+				t.Fatalf("SplitRuns found %d runs, want 1", len(runs))
+			}
+			rep := analyze.Analyze(runs[0])
+			if got := rep.BestSpeedup; got != resS.BestSpeedup {
+				t.Fatalf("replayed best speedup %v != Result %v", got, resS.BestSpeedup)
+			}
+			if len(rep.PassProfile()) == 0 {
+				t.Fatal("run-end event carries no pass profile")
+			}
 
-	// The registry's cache counters match the evaluator's.
-	if hits := metS.Gauge(obs.CacheHits.MetricName()).Value(); hits == 0 {
-		t.Fatal("no cache hits recorded for a run with repeated incumbents")
-	}
+			// The registry's cache counters match the evaluator's.
+			if hits := metS.Gauge(obs.CacheHits.MetricName()).Value(); hits == 0 {
+				t.Fatal("no cache hits recorded for a run with repeated incumbents")
+			}
 
-	// Per-pass profile came through the Result too, deterministically ordered.
-	if len(resS.PassProfile) == 0 {
-		t.Fatal("Result.PassProfile empty with profiling enabled")
-	}
-	for i := 1; i < len(resS.PassProfile); i++ {
-		if resS.PassProfile[i-1].DeltaTotal() < resS.PassProfile[i].DeltaTotal() {
-			t.Fatal("Result.PassProfile not sorted by delta")
-		}
+			// Per-pass profile came through the Result too, deterministically ordered.
+			if len(resS.PassProfile) == 0 {
+				t.Fatal("Result.PassProfile empty with profiling enabled")
+			}
+			for i := 1; i < len(resS.PassProfile); i++ {
+				if resS.PassProfile[i-1].DeltaTotal() < resS.PassProfile[i].DeltaTotal() {
+					t.Fatal("Result.PassProfile not sorted by delta")
+				}
+			}
+		})
 	}
 }
 
@@ -124,12 +148,6 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 	}
 	if got := met.Gauge(obs.CacheMisses.MetricName()).Value(); got != float64(misses) {
 		t.Fatalf("registry misses %v != evaluator %d", got, misses)
-	}
-	if got := met.Counter("bench_compilations_total").Value(); got != int64(ev.Compilations) {
-		t.Fatalf("registry compilations %d != evaluator %d", got, ev.Compilations)
-	}
-	if got := met.Counter("bench_measurements_total").Value(); got != int64(ev.Measurements) {
-		t.Fatalf("registry measurements %d != evaluator %d", got, ev.Measurements)
 	}
 	// Datasets × Runs timing samples per Measure call.
 	wantSamples := int64(2 * ev.Datasets * ev.Runs)
@@ -228,7 +246,7 @@ func TestCounterJournalShape(t *testing.T) {
 	}{
 		{"cache-stats", []string{"hits", "misses"}},
 		{"prefix-cache-stats", []string{"evictions", "replayed_passes", "saved_passes", "snapshot_bytes"}},
-		{"cow-stats", []string{"env_ir_clone_cow", "env_ir_clone_materialized", "env_ir_clone_slab_funcs",
+		{"cow-stats", []string{"env_ir_analysis_hits", "env_ir_analysis_misses", "env_ir_clone_cow", "env_ir_clone_materialized", "env_ir_clone_slab_funcs",
 			"env_ir_clone_stray_instrs", "env_machine_pool_gets", "env_machine_pool_news",
 			"env_passes_pool_gets", "env_passes_pool_news", "materialized", "shared"}},
 		{"bc-stats", []string{"bytecode_bytes", "code_hits", "code_misses", "fused_sites", "lowered_funcs", "super_hits"}},

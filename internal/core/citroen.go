@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -815,9 +816,10 @@ type candJob struct {
 // Groups are never size-capped, and that is a determinism requirement, not
 // a simplification: sequences sharing a prefix form a contiguous interval in
 // lexicographic order, so uncapped greedy grouping puts every pair of jobs
-// sharing at least minShared passes into the same (serial) group. Distinct
-// groups then share fewer than minShared passes — below any snapshot stride —
-// so no job's cache outcome can depend on when another group ran, and the
+// sharing at least minShared passes — and every pair of identical sequences,
+// however short — into the same (serial) group. Distinct groups then share
+// fewer than minShared passes, below the evaluator's snapshot stride (6), so
+// no job's cache outcome can depend on when another group ran, and the
 // evaluator's counters stay identical for every worker count. The serialised
 // work is exactly the work that resuming makes nearly free.
 func groupByPrefix(jobs []candJob, names [][]string) [][]int {
@@ -844,8 +846,8 @@ func groupByPrefix(jobs []candJob, names [][]string) [][]int {
 		if n := len(groups); n > 0 {
 			g := groups[n-1]
 			prev := g[len(g)-1]
-			if jobs[prev].ms == jobs[i].ms &&
-				sharedPrefixLen(names[prev], names[i]) >= minShared {
+			if jobs[prev].ms == jobs[i].ms && (sharedPrefixLen(names[prev], names[i]) >= minShared ||
+				slices.Equal(names[prev], names[i])) {
 				groups[n-1] = append(g, i)
 				continue
 			}

@@ -312,6 +312,27 @@ func TestClampSeqPadsWithoutPassZeroBias(t *testing.T) {
 	}
 }
 
+// groupByPrefix must serialise identical sequences even when they are shorter
+// than the shared-prefix threshold: the evaluator compiles concurrent
+// identical requests independently, so splitting them across groups would
+// make their cache hits depend on scheduling.
+func TestGroupByPrefixKeepsIdenticalShortSequencesTogether(t *testing.T) {
+	a, b := &moduleState{name: "a"}, &moduleState{name: "b"}
+	jobs := []candJob{{ms: a}, {ms: a}, {ms: a}, {ms: b}, {ms: a}}
+	names := [][]string{
+		{"dce", "gvn"},
+		{"licm"},
+		{"dce", "gvn"},
+		{"dce", "gvn"}, // same sequence, other module: never grouped
+		{"dce", "gvn", "sroa"},
+	}
+	got := groupByPrefix(jobs, names)
+	want := [][]int{{0, 2}, {4}, {1}, {3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups = %v, want %v", got, want)
+	}
+}
+
 // Regression: seqIndices used to silently drop unknown pass names, so a typo
 // in Options.SeedSequences degraded transfer with no signal.
 func TestSeedSequenceUnknownPassErrors(t *testing.T) {

@@ -28,6 +28,8 @@ const (
 	EnvIRCloneMaterialized
 	EnvIRCloneSlabFuncs
 	EnvIRCloneStrayInstrs
+	EnvIRAnalysisHits
+	EnvIRAnalysisMisses
 	EnvMachinePoolGets
 	EnvMachinePoolNews
 	EnvPassesPoolGets
@@ -64,6 +66,8 @@ var counterDefs = [NumCounters]struct{ event, field string }{
 	EnvIRCloneMaterialized: {"cow-stats", "env_ir_clone_materialized"},
 	EnvIRCloneSlabFuncs:    {"cow-stats", "env_ir_clone_slab_funcs"},
 	EnvIRCloneStrayInstrs:  {"cow-stats", "env_ir_clone_stray_instrs"},
+	EnvIRAnalysisHits:      {"cow-stats", "env_ir_analysis_hits"},
+	EnvIRAnalysisMisses:    {"cow-stats", "env_ir_analysis_misses"},
 	EnvMachinePoolGets:     {"cow-stats", "env_machine_pool_gets"},
 	EnvMachinePoolNews:     {"cow-stats", "env_machine_pool_news"},
 	EnvPassesPoolGets:      {"cow-stats", "env_passes_pool_gets"},
