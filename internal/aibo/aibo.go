@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
 )
@@ -55,11 +54,7 @@ type Options struct {
 	RefitEvery    int // refit GP hyperparameters every k iterations
 	Selection     SelectionMode
 	GPOpts        gp.Options
-	// Workers bounds the parallelism of the surrogate fit, the batched
-	// candidate screening, and the acquisition-maximiser restarts
-	// (0 = all CPUs, 1 = serial). The optimisation trace is bit-identical
-	// for every value; workers change only the wall-clock. When
-	// GPOpts.Workers is zero it inherits this bound.
+	// Deprecated: ignored. The surrogate runs serially.
 	Workers int
 }
 
@@ -194,18 +189,13 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		}
 	}
 
-	pool := evalpool.New(opts.Workers)
-	warm := opts.GPOpts
-	if warm.Workers == 0 {
-		warm.Workers = pool.Workers()
-	}
 	var model *gp.GP
 	for it := 0; budget-len(Y) > 0; it++ {
 		// 1. Fit/refit the surrogate.
 		refit := opts.RefitEvery <= 1 || it%opts.RefitEvery == 0 || model == nil
 		switch {
 		case refit:
-			o := warm
+			o := opts.GPOpts
 			if model != nil {
 				o.WarmLS, o.WarmSigF, o.WarmNoise = model.LS, model.SigF, model.Noise
 			}
@@ -225,7 +215,7 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		default:
 			// Defensive: the history advanced by more than one point, which
 			// this loop never does on its own — frozen warm refit.
-			o := warm
+			o := opts.GPOpts
 			o.AdamSteps = 0
 			o.Restarts = 1
 			o.WarmLS, o.WarmSigF, o.WarmNoise = model.LS, model.SigF, model.Noise
@@ -239,7 +229,7 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		cfg := acq.Config{Kind: opts.AF, Beta: opts.Beta, Best: bestT}
 
 		// 2. Per-strategy: generate and screen; then maximise the surviving
-		// restarts of every strategy in one fan-out.
+		// restarts of every strategy.
 		diag := IterDiag{AF: map[Strategy]float64{}, Mu: map[Strategy]float64{}, Sigma: map[Strategy]float64{}}
 		type cand struct {
 			x  []float64
@@ -261,10 +251,10 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		// Every maximised restart joins the candidate pool (so the Fig 4.3
 		// selection-mode comparison sees the whole pool); per-strategy
 		// diagnostics track the best restart.
-		maxX, maxV := maximizeBatch(model, cfg, unitBox, starts, opts.GradSteps, opts.GradLR, pool)
 		finals := make([]cand, len(starts))
-		for i := range starts {
-			finals[i] = cand{x: maxX[i], af: maxV[i], s: startStrat[i]}
+		for i, x0 := range starts {
+			x, v := maximizeFrom(model, cfg, unitBox, x0, opts.GradSteps, opts.GradLR)
+			finals[i] = cand{x: x, af: v, s: startStrat[i]}
 		}
 		for _, s := range strats {
 			bestLocal := cand{s: s.name, af: math.Inf(-1)}

@@ -1,89 +1,79 @@
 package aibo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"testing"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
 	"repro/internal/synth"
 )
 
-// TestAIBOWorkersDeterminism pins the tentpole guarantee: the parallel
-// surrogate (fit restarts, batched screening, fanned-out acquisition
-// maximisation) produces the exact trace of the serial one.
+// traceDigest hashes the float bits of a result's History and BestX and its
+// per-iteration Diags winners.
+func traceDigest(r *Result) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, v := range r.History {
+		put(v)
+	}
+	for _, v := range r.BestX {
+		put(v)
+	}
+	for _, d := range r.Diags {
+		h.Write([]byte(d.Winner))
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAIBOWorkersDeterminism pins the AIBO trace (GP fit restarts, batched
+// screening, acquisition-maximiser restarts) to the digest it had when the
+// surrogate still fanned out across workers, where it was identical for
+// every worker count.
 func TestAIBOWorkersDeterminism(t *testing.T) {
 	f := synth.Rastrigin()
 	b := boxFor(f, 4)
-	base := fastOpts()
-	base.TopN = 3
-	base.GPOpts.Restarts = 2
-	var ref *Result
-	for _, w := range []int{1, 8} {
-		o := base
-		o.Workers = w
-		res, err := Minimize(f.Eval, b, 30, o, 9)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.BestY != ref.BestY {
-			t.Fatalf("workers=%d: BestY %v != serial %v", w, res.BestY, ref.BestY)
-		}
-		for i := range ref.History {
-			if res.History[i] != ref.History[i] {
-				t.Fatalf("workers=%d: History[%d] = %v != serial %v", w, i, res.History[i], ref.History[i])
-			}
-		}
-		for i := range ref.BestX {
-			if res.BestX[i] != ref.BestX[i] {
-				t.Fatalf("workers=%d: BestX[%d] differs", w, i)
-			}
-		}
-		for i := range ref.Diags {
-			if res.Diags[i].Winner != ref.Diags[i].Winner {
-				t.Fatalf("workers=%d: Diags[%d].Winner %q != serial %q", w, i, res.Diags[i].Winner, ref.Diags[i].Winner)
-			}
-		}
+	o := fastOpts()
+	o.TopN = 3
+	o.GPOpts.Restarts = 2
+	res, err := Minimize(f.Eval, b, 30, o, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "91c082b971fc40da70e5e74f511047b48f7ff4f8210ed86f6f6b74794d8170c2"
+	if got := traceDigest(res); got != want {
+		t.Fatalf("AIBO trace digest %s, want %s", got, want)
 	}
 }
 
+// TestTuRBOWorkersDeterminism is the same pin for the trust-region baseline.
 func TestTuRBOWorkersDeterminism(t *testing.T) {
 	f := synth.Ackley()
 	b := boxFor(f, 5)
-	base := DefaultTuRBOOptions()
-	base.InitSamples = 10
-	base.Candidates = 60
-	base.GPOpts.AdamSteps = 15
-	base.GPOpts.Restarts = 1
-	base.RefitEvery = 3
-	var ref *Result
-	for _, w := range []int{1, 8} {
-		o := base
-		o.Workers = w
-		res, err := TuRBOMinimize(f.Eval, b, 30, o, 4)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.BestY != ref.BestY {
-			t.Fatalf("workers=%d: BestY %v != serial %v", w, res.BestY, ref.BestY)
-		}
-		for i := range ref.History {
-			if res.History[i] != ref.History[i] {
-				t.Fatalf("workers=%d: History[%d] differs", w, i)
-			}
-		}
+	o := DefaultTuRBOOptions()
+	o.InitSamples = 10
+	o.Candidates = 60
+	o.GPOpts.AdamSteps = 15
+	o.GPOpts.Restarts = 1
+	o.RefitEvery = 3
+	res, err := TuRBOMinimize(f.Eval, b, 30, o, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f71e31626f8575a861917b7acf109c883925ec7666d97ae66f0868e63470c9e1"
+	if got := traceDigest(res); got != want {
+		t.Fatalf("TuRBO trace digest %s, want %s", got, want)
 	}
 }
 
@@ -150,7 +140,7 @@ func TestScreenTopMatchesSort(t *testing.T) {
 }
 
 // BenchmarkAcqMaximize times the TopN×strategies gradient-ascent restarts of
-// one AIBO iteration, serial vs fanned out.
+// one AIBO iteration.
 func BenchmarkAcqMaximize(b *testing.B) {
 	model, cfg := screenFixture(b, 128, 8)
 	box := make(heuristic.Bounds, 8)
@@ -162,14 +152,11 @@ func BenchmarkAcqMaximize(b *testing.B) {
 	for i := range starts {
 		starts[i] = box.Sample(rng)
 	}
-	for _, w := range []int{1, 8} {
-		b.Run("w"+strconv.Itoa(w), func(b *testing.B) {
-			pool := evalpool.New(w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				maximizeBatch(model, cfg, box, starts, 20, 0.03, pool)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x0 := range starts {
+			maximizeFrom(model, cfg, box, x0, 20, 0.03)
+		}
 	}
 }

@@ -2,9 +2,7 @@ package aibo
 
 import (
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
-	"repro/internal/heuristic"
 )
 
 // screenItem is one survivor of the acquisition screen: its AF value and its
@@ -99,17 +97,4 @@ func screenTop(model *gp.GP, cfg acq.Config, raw [][]float64, topN int) [][]floa
 		out[i] = raw[idx]
 	}
 	return out
-}
-
-// maximizeBatch runs maximizeFrom from every start on the pool, collecting
-// results by submission index. Each restart only reads the fitted model, so
-// the outputs are identical for every worker count; parallelism changes the
-// wall-clock only.
-func maximizeBatch(model *gp.GP, cfg acq.Config, box heuristic.Bounds, starts [][]float64, steps int, lr float64, pool *evalpool.Pool) ([][]float64, []float64) {
-	xs := make([][]float64, len(starts))
-	vs := make([]float64, len(starts))
-	pool.Map(len(starts), func(i int) {
-		xs[i], vs[i] = maximizeFrom(model, cfg, box, starts[i], steps, lr)
-	})
-	return xs, vs
 }

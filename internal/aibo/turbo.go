@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
 )
@@ -26,10 +25,6 @@ type TuRBOOptions struct {
 	GPOpts       gp.Options
 	RefitEvery   int
 	MaxGPHistory int // fit on the most recent points only (local model)
-	// Workers bounds the surrogate's parallelism (0 = all CPUs, 1 = serial);
-	// the trace is bit-identical for every value. When GPOpts.Workers is
-	// zero it inherits this bound.
-	Workers int
 }
 
 // DefaultTuRBOOptions mirror the reference implementation's shape.
@@ -81,10 +76,6 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 		observe(unit.Sample(rng))
 	}
 
-	gpo := opts.GPOpts
-	if gpo.Workers == 0 {
-		gpo.Workers = evalpool.New(opts.Workers).Workers()
-	}
 	length := opts.LenInit
 	succ, fail := 0, 0
 	prevLo := -1
@@ -103,7 +94,7 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 				return nil, err
 			}
 		} else {
-			o := gpo
+			o := opts.GPOpts
 			if model != nil {
 				o.WarmLS, o.WarmSigF, o.WarmNoise = model.LS, model.SigF, model.Noise
 				if nonRefit {

@@ -304,11 +304,6 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 	if t.backend == nil {
 		t.backend = &poolBackend{pool: t.pool, task: task, feat: opts.Feature}
 	}
-	if t.opts.GPOpts.Workers == 0 {
-		// -workers drives the surrogate too: parallel fit restarts, sharded
-		// gradients and batched prediction, all bit-identical to serial.
-		t.opts.GPOpts.Workers = t.pool.Workers()
-	}
 	t.pool.Instrument(met)
 	return t
 }

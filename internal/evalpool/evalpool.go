@@ -1,14 +1,16 @@
 // Package evalpool provides a fixed-size worker pool for fanning independent
-// candidate evaluations (compile + feature extraction) across CPUs. Results
-// are indexed by submission order, so the outcome of a fan-out is identical
-// for any worker count: parallelism changes only the wall-clock, never the
-// data. Jobs that need randomness use MapSeeded, which derives a private RNG
-// per index from a base seed — workers never share an RNG, and no job's
-// random stream depends on which worker ran it.
+// candidate evaluations (compile + feature extraction) across CPUs, the one
+// phase of a tuning job with work worth splitting; the GP surrogate runs
+// serially. Results are indexed by submission order, so the outcome of a
+// fan-out is identical for any worker count: parallelism changes only the
+// wall-clock, never the data. Jobs that need randomness use MapSeeded, which
+// derives a private RNG per index from a base seed — workers never share an
+// RNG, and no job's random stream depends on which worker ran it.
 //
-// Two execution shapes are provided: Map/MapCtx for one-shot fan-outs
-// (the tuner's per-iteration candidate batch), and Queue for long-lived
-// bounded work queues with cancellable submission (the tuning-job server).
+// Two execution shapes are provided: MapCtx/MapGroupsCtx for one-shot
+// fan-outs (the tuner's per-iteration candidate batch), and Queue for
+// long-lived bounded work queues with cancellable submission (the tuning-job
+// server).
 package evalpool
 
 import (
@@ -36,7 +38,7 @@ type Pool struct {
 
 // New returns a pool with the given worker count. workers <= 0 selects
 // runtime.GOMAXPROCS(0); workers == 1 is the documented serial mode, where
-// every Map call runs its jobs inline in index order on the caller's
+// every MapCtx call runs its jobs inline in index order on the caller's
 // goroutine.
 func New(workers int) *Pool {
 	if workers <= 0 {
@@ -51,7 +53,7 @@ func (p *Pool) Workers() int { return p.workers }
 // Instrument registers queue-depth and worker-utilisation metrics on m:
 // evalpool_batches_total and evalpool_jobs_total counters, and
 // evalpool_active_workers / evalpool_queue_depth gauges. Call before the
-// first Map; a nil registry yields live but unregistered instruments, so
+// first MapCtx; a nil registry yields live but unregistered instruments, so
 // instrumentation is always safe to enable.
 func (p *Pool) Instrument(m *obs.Metrics) {
 	p.batches = m.Counter("evalpool_batches_total")
@@ -60,7 +62,7 @@ func (p *Pool) Instrument(m *obs.Metrics) {
 	p.queued = m.Gauge("evalpool_queue_depth")
 }
 
-// Map runs fn(i) for every i in [0, n) and returns when all calls have
+// MapCtx runs fn(i) for every i in [0, n) and returns when all calls have
 // completed. fn must write its result into a caller-owned slot for index i
 // (e.g. results[i] = ...): that convention is what makes the fan-out
 // deterministic regardless of scheduling. fn must not touch shared mutable
@@ -68,16 +70,11 @@ func (p *Pool) Instrument(m *obs.Metrics) {
 //
 // With one worker (or n == 1) the calls run inline in index order. A panic
 // in any job is re-raised on the calling goroutine after the remaining
-// workers drain.
-func (p *Pool) Map(n int, fn func(i int)) {
-	p.MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with cancellation: once ctx is done, no further indices are
-// claimed (jobs already started run to completion) and the context's error
-// is returned. Callers that fan out into caller-owned result slots must
-// treat unclaimed slots as absent on a non-nil return. A nil ctx behaves
-// like context.Background().
+// workers drain. Once ctx is done, no further indices are claimed (jobs
+// already started run to completion) and the context's error is returned.
+// Callers that fan out into caller-owned result slots must treat unclaimed
+// slots as absent on a non-nil return. A nil ctx behaves like
+// context.Background().
 func (p *Pool) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -195,12 +192,13 @@ func (p *Pool) MapGroupsCtx(ctx context.Context, groups [][]int, fn func(i int))
 	})
 }
 
-// MapSeeded is Map with a per-index rand.Rand seeded with baseSeed + i, so
-// fn can draw randomness without sharing an RNG across workers. The streams
-// depend only on baseSeed and the index, never on the worker count, which
-// keeps randomised fan-outs bit-identical between serial and parallel runs.
+// MapSeeded is MapCtx without cancellation and with a per-index rand.Rand
+// seeded with baseSeed + i, so fn can draw randomness without sharing an RNG
+// across workers. The streams depend only on baseSeed and the index, never
+// on the worker count, which keeps randomised fan-outs bit-identical between
+// serial and parallel runs.
 func (p *Pool) MapSeeded(n int, baseSeed int64, fn func(i int, rng *rand.Rand)) {
-	p.Map(n, func(i int) {
+	p.MapCtx(context.Background(), n, func(i int) {
 		fn(i, rand.New(rand.NewSource(baseSeed+int64(i))))
 	})
 }
@@ -214,7 +212,7 @@ var (
 )
 
 // Queue is a long-lived bounded FIFO work queue with a fixed worker count.
-// Unlike Pool.Map (one-shot fan-out with a barrier), jobs are submitted
+// Unlike Pool.MapCtx (one-shot fan-out with a barrier), jobs are submitted
 // individually over the queue's lifetime and execute in FIFO order across
 // the workers. Submission is cancellable: a Submit blocked on a full buffer
 // unblocks as soon as its context is cancelled or the queue closes, so a

@@ -18,7 +18,7 @@ func TestMapCoversEveryIndexExactlyOnce(t *testing.T) {
 		}
 		const n = 100
 		counts := make([]int32, n)
-		p.Map(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		p.MapCtx(context.Background(), n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", w, i, c)
@@ -29,9 +29,9 @@ func TestMapCoversEveryIndexExactlyOnce(t *testing.T) {
 
 func TestMapEmptyAndSingle(t *testing.T) {
 	p := New(8)
-	p.Map(0, func(int) { t.Fatal("fn called for n=0") })
+	p.MapCtx(context.Background(), 0, func(int) { t.Fatal("fn called for n=0") })
 	ran := false
-	p.Map(1, func(i int) { ran = i == 0 })
+	p.MapCtx(context.Background(), 1, func(i int) { ran = i == 0 })
 	if !ran {
 		t.Fatal("single job not run")
 	}
@@ -40,7 +40,7 @@ func TestMapEmptyAndSingle(t *testing.T) {
 func TestMapSerialModeRunsInIndexOrder(t *testing.T) {
 	p := New(1)
 	var got []int
-	p.Map(5, func(i int) { got = append(got, i) })
+	p.MapCtx(context.Background(), 5, func(i int) { got = append(got, i) })
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("serial order broken: %v", got)
@@ -284,7 +284,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want boom", r)
 		}
 	}()
-	New(4).Map(8, func(i int) {
+	New(4).MapCtx(context.Background(), 8, func(i int) {
 		if i == 3 {
 			panic("boom")
 		}

@@ -118,22 +118,18 @@ func (g *GP) Clone() *GP {
 // PredictBatch computes the transformed-space posterior for every candidate
 // in xs, writing means and standard deviations into mu and sigma (length
 // len(xs) each). The triangular solves are amortised: candidates are
-// partitioned into fixed-size blocks and each block runs one multi-RHS
-// forward solve that streams the Cholesky factor once across the whole block
-// instead of once per candidate. Blocks are fanned out across the fitted
-// Workers bound; every candidate column sees exactly the arithmetic of a
-// serial PredictTransformed call, so results are bit-identical to the
-// one-at-a-time path for every worker count.
+// partitioned into numeric.ShardSpan blocks and each block runs one
+// multi-RHS forward solve that streams the Cholesky factor once across the
+// whole block instead of once per candidate. Every candidate column sees
+// exactly the arithmetic of a PredictTransformed call, so results are
+// bit-identical to the one-at-a-time path.
 func (g *GP) PredictBatch(xs [][]float64, mu, sigma []float64) {
 	q := len(xs)
 	if len(mu) != q || len(sigma) != q {
 		panic(fmt.Sprintf("gp: PredictBatch output length %d/%d for %d candidates", len(mu), len(sigma), q))
 	}
-	if q == 0 {
-		return
-	}
 	n := len(g.X)
-	numeric.ParallelFor(g.workers, numeric.NumShards(q), func(s int) {
+	for s := 0; s < numeric.NumShards(q); s++ {
 		lo, hi := numeric.ShardBounds(q, s)
 		qb := hi - lo
 		sq := scaleInputs(xs[lo:hi], g.LS)
@@ -168,5 +164,5 @@ func (g *GP) PredictBatch(xs [][]float64, mu, sigma []float64) {
 			}
 			sigma[lo+a] = math.Sqrt(varf)
 		}
-	})
+	}
 }

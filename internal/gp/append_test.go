@@ -182,47 +182,49 @@ func TestAppendRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestPredictBatchBitIdenticalAcrossWorkers checks the batched posterior
+// against the one-at-a-time path bit for bit, and pins the fitted
+// hyperparameters to the bits the fit produced before the surrogate went
+// serial (identical then for every worker count). The pinned fit runs
+// without the Yeo-Johnson transform, so its bits follow the kernel, Adam and
+// restart arithmetic alone.
 func TestPredictBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	X, Y := randHistory(rng, 40, 2)
 	queries, _ := randHistory(rng, 37, 2) // not a multiple of the shard span
 
-	fit := func(workers int) *GP {
+	fit := func(powerTransf bool) *GP {
 		opts := DefaultOptions()
 		opts.AdamSteps = 15
-		opts.Workers = workers
+		opts.PowerTransf = powerTransf
 		g, err := Fit(X, Y, opts, rand.New(rand.NewSource(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
-	g1 := fit(1)
-	g8 := fit(8)
-	if g1.SigF != g8.SigF || g1.Noise != g8.Noise || g1.LML() != g8.LML() {
-		t.Fatalf("parallel fit not bit-identical: sigf %v/%v noise %v/%v lml %v/%v",
-			g1.SigF, g8.SigF, g1.Noise, g8.Noise, g1.LML(), g8.LML())
+	pinned := fit(false)
+	bits := []uint64{
+		math.Float64bits(pinned.LS[0]), math.Float64bits(pinned.LS[1]),
+		math.Float64bits(pinned.SigF), math.Float64bits(pinned.Noise), math.Float64bits(pinned.LML()),
 	}
-	for i := range g1.LS {
-		if g1.LS[i] != g8.LS[i] {
-			t.Fatalf("parallel fit length scales differ at %d: %v vs %v", i, g1.LS[i], g8.LS[i])
+	want := []uint64{0x3fc8e88ddafcf99d, 0x3fc745a7d0437f06, 0x40056202100ed305, 0x3f639bd767640cf3, 0xc0523a29c41d82fd}
+	for i := range want {
+		if bits[i] != want[i] {
+			t.Fatalf("fitted (LS0, LS1, SigF, Noise, LML) bits %#x, want %#x", bits, want)
 		}
 	}
 
-	mu1 := make([]float64, len(queries))
-	sig1 := make([]float64, len(queries))
-	mu8 := make([]float64, len(queries))
-	sig8 := make([]float64, len(queries))
-	g1.PredictBatch(queries, mu1, sig1)
-	g8.PredictBatch(queries, mu8, sig8)
-	var sc PredictScratch
-	for i, q := range queries {
-		ms, ss := g1.PredictTransformedInto(q, &sc)
-		if mu1[i] != ms || sig1[i] != ss {
-			t.Fatalf("batch differs from single at %d: (%v,%v) vs (%v,%v)", i, mu1[i], sig1[i], ms, ss)
-		}
-		if mu1[i] != mu8[i] || sig1[i] != sig8[i] {
-			t.Fatalf("batch differs across workers at %d", i)
+	for _, g := range []*GP{fit(true), pinned} {
+		mu := make([]float64, len(queries))
+		sig := make([]float64, len(queries))
+		g.PredictBatch(queries, mu, sig)
+		var sc PredictScratch
+		for i, q := range queries {
+			ms, ss := g.PredictTransformedInto(q, &sc)
+			if mu[i] != ms || sig[i] != ss {
+				t.Fatalf("batch differs from single at %d: (%v,%v) vs (%v,%v)", i, mu[i], sig[i], ms, ss)
+			}
 		}
 	}
 }

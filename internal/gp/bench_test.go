@@ -20,12 +20,11 @@ func benchData(n, d int) ([][]float64, []float64) {
 	return X, Y
 }
 
-func benchFit(b *testing.B, X [][]float64, Y []float64, workers int) *GP {
+func benchFit(b *testing.B, X [][]float64, Y []float64) *GP {
 	b.Helper()
 	opts := DefaultOptions()
 	opts.AdamSteps = 0
 	opts.Restarts = 1
-	opts.Workers = workers
 	g, err := Fit(X, Y, opts, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -41,7 +40,7 @@ func BenchmarkGPFit(b *testing.B) {
 	X, Y := benchData(n, d)
 
 	b.Run("refit-n256", func(b *testing.B) {
-		base := benchFit(b, X[:n-1], Y[:n-1], 1)
+		base := benchFit(b, X[:n-1], Y[:n-1])
 		warm := warmRefitOpts(base, DefaultOptions())
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -52,7 +51,7 @@ func BenchmarkGPFit(b *testing.B) {
 		}
 	})
 	b.Run("append-n256", func(b *testing.B) {
-		base := benchFit(b, X[:n-1], Y[:n-1], 1)
+		base := benchFit(b, X[:n-1], Y[:n-1])
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -70,7 +69,7 @@ func BenchmarkGPAppend(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run("n"+itoa(n), func(b *testing.B) {
 			X, Y := benchData(n, 8)
-			base := benchFit(b, X[:n-1], Y[:n-1], 1)
+			base := benchFit(b, X[:n-1], Y[:n-1])
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,7 +92,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	sigma := make([]float64, q)
 
 	b.Run("single-loop", func(b *testing.B) {
-		g := benchFit(b, X, Y, 1)
+		g := benchFit(b, X, Y)
 		var sc PredictScratch
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -103,36 +102,28 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 8} {
-		b.Run("batch-w"+itoa(workers), func(b *testing.B) {
-			g := benchFit(b, X, Y, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.PredictBatch(queries, mu, sigma)
-			}
-		})
-	}
+	b.Run("batch", func(b *testing.B) {
+		g := benchFit(b, X, Y)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.PredictBatch(queries, mu, sigma)
+		}
+	})
 }
 
 // BenchmarkGPFitAdam measures a full hyperparameter fit (gradient steps
-// included) serial vs parallel, exercising the sharded lmlGrad.
+// included), exercising lmlGrad.
 func BenchmarkGPFitAdam(b *testing.B) {
 	const n, d = 128, 8
 	X, Y := benchData(n, d)
-	for _, workers := range []int{1, 8} {
-		b.Run("w"+itoa(workers), func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.AdamSteps = 5
-			opts.Restarts = 2
-			opts.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Fit(X, Y, opts, rand.New(rand.NewSource(1))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := DefaultOptions()
+	opts.AdamSteps = 5
+	opts.Restarts = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fit(X, Y, opts, rand.New(rand.NewSource(1))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -39,15 +39,6 @@ type Options struct {
 	WarmNoise   float64
 	Standardize bool // standardise Y internally (recommended)
 	PowerTransf bool // Yeo-Johnson transform Y before standardising
-
-	// Workers bounds the parallelism of fitting (hyperparameter restarts,
-	// sharded kernel-matrix and LML-gradient evaluation) and of PredictBatch.
-	// 0 or 1 runs serially. Results are bit-identical for every value: work
-	// is partitioned into fixed-size shards whose boundaries depend only on
-	// the problem size, per-shard partial results are reduced in shard order,
-	// restart initialisations are drawn from the rng serially before the
-	// fan-out, and the restart winner is chosen by (LML, restart index).
-	Workers int
 }
 
 // DefaultOptions mirror the paper's settings (§4.3.2): Matérn-5/2 ARD,
@@ -82,14 +73,10 @@ type GP struct {
 	// not per pair); every hot kernel path derives r2 from these, keeping
 	// single, batched and appended evaluations bit-identical to each other
 
-	opts            Options // fitting options, kept for Append
-	workers         int
+	opts            Options   // fitting options, kept for Append
 	refactorization int       // Append calls that fell back to a full refactorize
 	scrK            []float64 // kernel-column scratch for Append
 }
-
-// Workers returns the worker bound the model was fitted with.
-func (g *GP) Workers() int { return g.workers }
 
 // Refactorized reports how many Append calls hit the jitter-recovery path
 // (a full refactorisation instead of the O(n²) rank-1 extension).
@@ -130,10 +117,9 @@ func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) 
 		}
 	}
 
-	workers := opts.Workers
 	g := &GP{
 		Kind: opts.Kernel, X: X, y: ty, std: std, lambda: lambda, usedYJ: usedYJ,
-		rawY: append([]float64(nil), Y...), opts: opts, workers: workers,
+		rawY: append([]float64(nil), Y...), opts: opts,
 	}
 
 	// Hyperparameter optimisation over log parameters.
@@ -163,41 +149,30 @@ func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) 
 	if restarts < 1 {
 		restarts = 1
 	}
-	// Draw every restart initialisation from the rng serially, in restart
-	// order, so the stream of random numbers consumed is identical to a
-	// serial fit; the optimisation itself is rng-free and fans out below.
+	// Every restart initialisation is drawn from the rng before any
+	// optimisation runs, so the random stream a fit consumes never depends
+	// on how the optimisation goes.
 	inits := make([]hypers, restarts)
 	for r := range inits {
 		inits[r] = mkInit(r)
 	}
-	type restartOut struct {
-		t   hypers
-		lml float64
-		ok  bool
-	}
-	outs := make([]restartOut, restarts)
-	numeric.ParallelFor(workers, restarts, func(r int) {
-		sc := newGradScratch(n, d)
-		t := adamOptimize(g, inits[r], opts, sc, workers)
-		lml, ok := g.computeLML(t.ls, t.sigf, t.noise, workers)
-		outs[r] = restartOut{t: t, lml: lml, ok: ok}
-	})
-	// Scanning the results in restart order with a strict > makes the winner
-	// the (highest LML, lowest restart index) pair regardless of which
-	// goroutine finished first.
+	// Scanning the restarts in order with a strict > makes the winner the
+	// (highest LML, lowest restart index) pair.
+	sc := newGradScratch(n, d)
 	best := math.Inf(-1)
 	var bestT hypers
-	for _, o := range outs {
-		if o.ok && o.lml > best {
-			best = o.lml
-			bestT = o.t
+	for _, init := range inits {
+		t := adamOptimize(g, init, opts, sc)
+		if lml, ok := g.computeLML(t.ls, t.sigf, t.noise); ok && lml > best {
+			best = lml
+			bestT = t
 		}
 	}
 	if math.IsInf(best, -1) {
 		// Fall back to defaults with inflated noise.
 		bestT = mkInit(0)
 		bestT.noise = opts.NoiseCeil
-		lml, ok := g.computeLML(bestT.ls, bestT.sigf, bestT.noise, workers)
+		lml, ok := g.computeLML(bestT.ls, bestT.sigf, bestT.noise)
 		if !ok {
 			return nil, errors.New("gp: covariance not positive definite")
 		}
@@ -272,48 +247,38 @@ func scaledR2(sa, sb []float64) float64 {
 // buildKInto fills K with the kernel matrix for the training inputs and, when
 // r2m is non-nil, stores the scaled squared distances of the lower triangle
 // so the gradient loop can reuse them instead of recomputing every pair.
-// Rows are processed in fixed-size shards: phase one computes the lower
-// triangle (each shard writes only its own rows), phase two mirrors it to the
-// upper triangle after a barrier. No shard ever reduces across another
-// shard's rows, so the result is bit-identical for every worker count.
-func (g *GP) buildKInto(K, r2m *numeric.Matrix, sx [][]float64, sigf, noise float64, workers int) {
+// The lower triangle is computed first, then mirrored to the upper one.
+func (g *GP) buildKInto(K, r2m *numeric.Matrix, sx [][]float64, sigf, noise float64) {
 	n := len(g.X)
 	kind := g.Kind
-	shards := numeric.NumShards(n)
-	numeric.ParallelFor(workers, shards, func(s int) {
-		lo, hi := numeric.ShardBounds(n, s)
-		for i := lo; i < hi; i++ {
-			sxi := sx[i]
-			ki := K.Row(i)
-			var r2row []float64
-			if r2m != nil {
-				r2row = r2m.Row(i)
-			}
-			for j := 0; j <= i; j++ {
-				r2 := scaledR2(sxi, sx[j])
-				ki[j] = kernelFromR2(kind, r2, sigf)
-				if r2row != nil {
-					r2row[j] = r2
-				}
+	for i := 0; i < n; i++ {
+		sxi := sx[i]
+		ki := K.Row(i)
+		var r2row []float64
+		if r2m != nil {
+			r2row = r2m.Row(i)
+		}
+		for j := 0; j <= i; j++ {
+			r2 := scaledR2(sxi, sx[j])
+			ki[j] = kernelFromR2(kind, r2, sigf)
+			if r2row != nil {
+				r2row[j] = r2
 			}
 		}
-	})
-	numeric.ParallelFor(workers, shards, func(s int) {
-		lo, hi := numeric.ShardBounds(n, s)
-		for i := lo; i < hi; i++ {
-			ki := K.Row(i)
-			for j := i + 1; j < n; j++ {
-				ki[j] = K.At(j, i)
-			}
+	}
+	for i := 0; i < n; i++ {
+		ki := K.Row(i)
+		for j := i + 1; j < n; j++ {
+			ki[j] = K.At(j, i)
 		}
-	})
+	}
 	K.AddDiag(noise)
 }
 
 // computeLML evaluates the log marginal likelihood.
-func (g *GP) computeLML(ls []float64, sigf, noise float64, workers int) (float64, bool) {
+func (g *GP) computeLML(ls []float64, sigf, noise float64) (float64, bool) {
 	K := numeric.NewMatrix(len(g.X), len(g.X))
-	g.buildKInto(K, nil, scaleInputs(g.X, ls), sigf, noise, workers)
+	g.buildKInto(K, nil, scaleInputs(g.X, ls), sigf, noise)
 	L, _, err := numeric.CholeskyWithJitter(K, 1e-10, 6)
 	if err != nil {
 		return 0, false
@@ -327,59 +292,57 @@ func (g *GP) computeLML(ls []float64, sigf, noise float64, workers int) (float64
 	return lml, true
 }
 
-// gradScratch owns the buffers one lmlGrad evaluation needs. A scratch is
-// reused across the Adam steps of a single restart; each restart allocates
-// its own, so concurrent restarts never share buffers.
+// gradScratch owns the buffers one lmlGrad evaluation needs. One scratch
+// serves every Adam step of every restart of a fit.
 type gradScratch struct {
 	K, R2   *numeric.Matrix // kernel matrix and shared squared distances
 	L, Kinv *numeric.Matrix
 	alpha   []float64
-	partial [][]float64 // per-shard partial gradients, reduced in shard order
+	part    []float64 // one row block's partial gradient
 	grad    []float64
 }
 
 func newGradScratch(n, d int) *gradScratch {
-	sc := &gradScratch{
-		K:       numeric.NewMatrix(n, n),
-		R2:      numeric.NewMatrix(n, n),
-		L:       numeric.NewMatrix(n, n),
-		Kinv:    numeric.NewMatrix(n, n),
-		alpha:   make([]float64, n),
-		grad:    make([]float64, d+2),
-		partial: make([][]float64, numeric.NumShards(n)),
+	return &gradScratch{
+		K:     numeric.NewMatrix(n, n),
+		R2:    numeric.NewMatrix(n, n),
+		L:     numeric.NewMatrix(n, n),
+		Kinv:  numeric.NewMatrix(n, n),
+		alpha: make([]float64, n),
+		part:  make([]float64, d+2),
+		grad:  make([]float64, d+2),
 	}
-	for s := range sc.partial {
-		sc.partial[s] = make([]float64, d+2)
-	}
-	return sc
 }
 
 // lmlGrad returns the LML and its gradient w.r.t. (log ls_d..., log sigf,
 // log noise). The returned slice aliases sc.grad and is valid until the next
 // call with the same scratch. The pair loop reuses the squared distances that
-// buildKInto already computed (sc.R2) instead of re-deriving them per pair,
-// and is sharded by rows with per-shard partial gradients that are reduced
-// in fixed shard order — bit-identical for every worker count.
-func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers int) (float64, []float64, bool) {
+// buildKInto already computed (sc.R2) instead of re-deriving them per pair.
+// Rows are summed in numeric.ShardSpan blocks, each into its own partial that
+// is then added to the gradient in block order; that summation order is part
+// of the fitted hyperparameters' bits.
+func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch) (float64, []float64, bool) {
 	n := len(g.X)
 	d := len(ls)
 	sx := scaleInputs(g.X, ls)
-	g.buildKInto(sc.K, sc.R2, sx, sigf, noise, workers)
+	g.buildKInto(sc.K, sc.R2, sx, sigf, noise)
 	if _, err := numeric.CholeskyWithJitterInto(sc.L, sc.K, 1e-10, 6); err != nil {
 		return 0, nil, false
 	}
 	numeric.CholSolveInto(sc.L, g.y, sc.alpha)
 	// A = alpha alpha^T - K^{-1}; we need tr(A dK/dθ) terms. Compute Kinv
-	// once (n independent column solves, sharded across workers).
-	numeric.CholInverseInto(sc.L, sc.Kinv, workers)
+	// once (n independent column solves).
+	numeric.CholInverseInto(sc.L, sc.Kinv)
 	alpha := sc.alpha
 
 	lml := -0.5*numeric.Dot(g.y, alpha) - 0.5*numeric.LogDetFromChol(sc.L) - 0.5*float64(n)*math.Log(2*math.Pi)
 	sqrt5 := math.Sqrt(5)
 	kind := g.Kind
-	shards := numeric.NumShards(n)
-	numeric.ParallelFor(workers, shards, func(s int) {
-		part := sc.partial[s]
+	grad, part := sc.grad, sc.part
+	for c := range grad {
+		grad[c] = 0
+	}
+	for s := 0; s < numeric.NumShards(n); s++ {
 		for c := range part {
 			part[c] = 0
 		}
@@ -424,14 +387,8 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 				}
 			}
 		}
-	})
-	grad := sc.grad
-	for c := range grad {
-		grad[c] = 0
-	}
-	for s := 0; s < shards; s++ {
 		for c := range grad {
-			grad[c] += sc.partial[s][c]
+			grad[c] += part[c]
 		}
 	}
 	if math.IsNaN(lml) {
@@ -441,7 +398,7 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 }
 
 // adamOptimize runs Adam ascent on the LML over log-parameters.
-func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch, workers int) hypers {
+func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch) hypers {
 	d := len(init.ls)
 	theta := make([]float64, d+2)
 	for i, v := range init.ls {
@@ -466,7 +423,7 @@ func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch, workers int
 		for i := range curLS {
 			curLS[i] = math.Exp(theta[i])
 		}
-		_, grad, ok := g.lmlGrad(curLS, math.Exp(theta[d]), math.Exp(theta[d+1]), sc, workers)
+		_, grad, ok := g.lmlGrad(curLS, math.Exp(theta[d]), math.Exp(theta[d+1]), sc)
 		if !ok {
 			break
 		}
@@ -495,7 +452,7 @@ func (g *GP) factorize() error {
 	n := len(g.X)
 	K := numeric.NewMatrix(n, n)
 	g.sx = scaleInputs(g.X, g.LS)
-	g.buildKInto(K, nil, g.sx, g.SigF, g.Noise, g.workers)
+	g.buildKInto(K, nil, g.sx, g.SigF, g.Noise)
 	L, added, err := numeric.CholeskyWithJitter(K, 1e-10, 8)
 	if err != nil {
 		return err

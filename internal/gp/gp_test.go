@@ -64,7 +64,7 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 	ls := []float64{0.6, 0.8, 0.5}
 	sigf, noise := 1.2, 1e-3
 
-	lml0, grad, ok := g.lmlGrad(ls, sigf, noise, newGradScratch(n, d), 1)
+	lml0, grad, ok := g.lmlGrad(ls, sigf, noise, newGradScratch(n, d))
 	if !ok {
 		t.Fatal("grad failed")
 	}
@@ -86,14 +86,14 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 		check(dd, func(delta float64) (float64, bool) {
 			ls2 := append([]float64(nil), ls...)
 			ls2[dd] = math.Exp(math.Log(ls[dd]) + delta)
-			return g.computeLML(ls2, sigf, noise, 1)
+			return g.computeLML(ls2, sigf, noise)
 		})
 	}
 	check(d, func(delta float64) (float64, bool) {
-		return g.computeLML(ls, math.Exp(math.Log(sigf)+delta), noise, 1)
+		return g.computeLML(ls, math.Exp(math.Log(sigf)+delta), noise)
 	})
 	check(d+1, func(delta float64) (float64, bool) {
-		return g.computeLML(ls, sigf, math.Exp(math.Log(noise)+delta), 1)
+		return g.computeLML(ls, sigf, math.Exp(math.Log(noise)+delta))
 	})
 }
 

@@ -31,7 +31,7 @@ func BuildCFG(f *Function) *CFG {
 	off := 0
 	for _, b := range f.Blocks {
 		if k := predN[b]; k > 0 {
-			c.Preds[b] = predBack[off:off:off+k]
+			c.Preds[b] = predBack[off : off : off+k]
 			off += k
 		}
 	}
@@ -45,7 +45,7 @@ func BuildCFG(f *Function) *CFG {
 		if len(ss) == 0 {
 			continue
 		}
-		dst := succBack[off:off:off+len(ss)]
+		dst := succBack[off : off : off+len(ss)]
 		off += len(ss)
 		c.Succs[b] = append(dst, ss...)
 		for _, s := range ss {

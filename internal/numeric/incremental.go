@@ -203,27 +203,23 @@ func CholeskyWithJitterInto(dst, a *Matrix, jitter float64, maxTries int) (float
 }
 
 // CholInverseInto fills inv with (L·Lᵀ)⁻¹ by solving one unit vector per
-// column. Columns are independent, so they are sharded across workers with
-// results bit-identical to CholSolveMatrix(l, I) for every worker count.
-func CholInverseInto(l *Matrix, inv *Matrix, workers int) {
+// column, bit-identical to CholSolveMatrix(l, I).
+func CholInverseInto(l *Matrix, inv *Matrix) {
 	n := l.Rows
 	if inv.Rows != n || inv.Cols != n {
 		panic("numeric: CholInverseInto shape mismatch")
 	}
-	ParallelFor(workers, NumShards(n), func(s int) {
-		lo, hi := ShardBounds(n, s)
-		col := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			for i := range col {
-				col[i] = 0
-			}
-			col[j] = 1
-			CholSolveInto(l, col, col)
-			for i := 0; i < n; i++ {
-				inv.Set(i, j, col[i])
-			}
+	col := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := range col {
+			col[i] = 0
 		}
-	})
+		col[j] = 1
+		CholSolveInto(l, col, col)
+		for i := 0; i < n; i++ {
+			inv.Set(i, j, col[i])
+		}
+	}
 }
 
 // MulInto computes out = a·b reusing out's storage (out must not alias a or

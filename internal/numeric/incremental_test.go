@@ -193,37 +193,34 @@ func TestCholInverseIntoWorkerInvariant(t *testing.T) {
 	eye := NewMatrix(37, 37)
 	eye.AddDiag(1)
 	want := CholSolveMatrix(l, eye)
-	for _, workers := range []int{1, 3, 8} {
-		inv := NewMatrix(37, 37)
-		CholInverseInto(l, inv, workers)
-		for i := range inv.Data {
-			if inv.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: inverse differs at %d", workers, i)
-			}
+	inv := NewMatrix(37, 37)
+	CholInverseInto(l, inv)
+	for i := range inv.Data {
+		if inv.Data[i] != want.Data[i] {
+			t.Fatalf("inverse differs from CholSolveMatrix(l, I) at %d", i)
 		}
 	}
 }
 
+// TestParallelForCoversAllShards checks that the ShardBounds blocks tile
+// [0, n) exactly once, in ascending order.
 func TestParallelForCoversAllShards(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 32} {
-		n := 123
-		hits := make([]int32, NumShards(n))
-		covered := make([]bool, n)
-		ParallelFor(workers, NumShards(n), func(s int) {
-			hits[s]++
+	for _, n := range []int{0, 1, ShardSpan - 1, ShardSpan, ShardSpan + 1, 123} {
+		hits := make([]int, n)
+		next := 0
+		for s := 0; s < NumShards(n); s++ {
 			lo, hi := ShardBounds(n, s)
+			if lo != next || hi <= lo || hi-lo > ShardSpan {
+				t.Fatalf("n=%d: shard %d is [%d,%d), want it to start at %d", n, s, lo, hi, next)
+			}
 			for i := lo; i < hi; i++ {
-				covered[i] = true
+				hits[i]++
 			}
-		})
-		for s, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: shard %d run %d times", workers, s, h)
-			}
+			next = hi
 		}
-		for i, ok := range covered {
-			if !ok {
-				t.Fatalf("workers=%d: index %d not covered", workers, i)
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: index %d covered %d times", n, i, h)
 			}
 		}
 	}

@@ -159,7 +159,8 @@ func YeoJohnsonInverse(y, lambda float64) float64 {
 }
 
 // FitYeoJohnson picks lambda in [-2, 2] by golden-section maximisation of the
-// normal log-likelihood of the transformed values.
+// normal log-likelihood of the transformed values, whose Jacobian term is
+// (lambda-1)·Σ sign(x)·log(|x|+1).
 func FitYeoJohnson(v []float64) float64 {
 	ll := func(lambda float64) float64 {
 		t := make([]float64, len(v))
@@ -172,7 +173,7 @@ func FitYeoJohnson(v []float64) float64 {
 		}
 		l := -float64(len(v)) * math.Log(sd)
 		for _, x := range v {
-			l += (lambda - 1) * math.Copysign(math.Log1p(math.Abs(x)), 1)
+			l += (lambda - 1) * math.Copysign(math.Log1p(math.Abs(x)), x)
 		}
 		return l
 	}

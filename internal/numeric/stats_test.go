@@ -109,6 +109,23 @@ func TestYeoJohnsonSpecialCases(t *testing.T) {
 	}
 }
 
+// TestFitYeoJohnsonNegativeMirror checks the sign(x) factor of the
+// likelihood's Jacobian term: YJ(-x, 2-λ) = -YJ(x, λ), so negating the data
+// must mirror the fitted λ about 1.
+func TestFitYeoJohnsonNegativeMirror(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	v := make([]float64, 60)
+	neg := make([]float64, len(v))
+	for i := range v {
+		v[i] = 1 + 3*rng.Float64()
+		neg[i] = -v[i]
+	}
+	want := 2 - FitYeoJohnson(v)
+	if got := FitYeoJohnson(neg); math.Abs(got-want) > 1e-4 {
+		t.Fatalf("FitYeoJohnson(-v) = %f, want 2 - FitYeoJohnson(v) = %f", got, want)
+	}
+}
+
 func TestFitYeoJohnsonReducesSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	v := make([]float64, 200)

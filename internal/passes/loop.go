@@ -25,7 +25,6 @@ func cfgOf(f *ir.Function) *ir.CFG { return ir.CFGOf(f) }
 
 func domOf(f *ir.Function) (*ir.CFG, *ir.DomTree) { return ir.DomTreeOf(f) }
 
-
 func init() {
 	register("loop-simplify", "canonicalise loops: dedicated preheaders", PreserveNone,
 		func(m *ir.Module, st Stats) {
