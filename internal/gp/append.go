@@ -129,12 +129,19 @@ func (g *GP) PredictBatch(xs [][]float64, mu, sigma []float64) {
 		panic(fmt.Sprintf("gp: PredictBatch output length %d/%d for %d candidates", len(mu), len(sigma), q))
 	}
 	n := len(g.X)
+	// One set of block buffers serves every block: each block overwrites
+	// its n×qb right-hand sides and scaled inputs and clears its sums.
+	span := min(q, numeric.ShardSpan)
+	rhs := make([]float64, n*span)
+	sqRows, sqFlat := make([][]float64, span), make([]float64, span*len(g.LS))
+	ssBuf := make([]float64, span)
 	for s := 0; s < numeric.NumShards(q); s++ {
 		lo, hi := numeric.ShardBounds(q, s)
 		qb := hi - lo
-		sq := scaleInputs(xs[lo:hi], g.LS)
-		b := numeric.NewMatrix(n, qb)
-		ss := make([]float64, qb)
+		sq := scaleInputsInto(sqRows, sqFlat, xs[lo:hi], g.LS)
+		b := &numeric.Matrix{Rows: n, Cols: qb, Data: rhs[:n*qb]}
+		ss := ssBuf[:qb]
+		clear(ss)
 		mub := mu[lo:hi]
 		for a := range mub {
 			mub[a] = 0

@@ -222,8 +222,14 @@ func kernelFromR2(kind KernelKind, r2, sigf float64) float64 {
 // scale, one division per element instead of one per pair in the kernel
 // loops downstream.
 func scaleInputs(rows [][]float64, ls []float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	flat := make([]float64, len(rows)*len(ls))
+	return scaleInputsInto(make([][]float64, len(rows)), make([]float64, len(rows)*len(ls)), rows, ls)
+}
+
+// scaleInputsInto is scaleInputs writing the rows into out and their
+// coordinates into flat, which must hold len(rows) and len(rows)*len(ls)
+// entries.
+func scaleInputsInto(out [][]float64, flat []float64, rows [][]float64, ls []float64) [][]float64 {
+	out = out[:len(rows)]
 	for i, x := range rows {
 		sx := flat[i*len(ls) : (i+1)*len(ls)]
 		for dd := range sx {

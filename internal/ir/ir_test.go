@@ -226,9 +226,48 @@ func TestReplaceAllUsesAndCounts(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("uses = %d, want 2", n)
 	}
+	// A UseIndex answers the same questions from one scan: every slot that
+	// references an instruction, in block and instruction order.
+	var x UseIndex
+	checkIndex := func() {
+		t.Helper()
+		x.Build(f)
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				users := x.Users(in)
+				if x.Count(in) != CountUses(f, in) || len(users) != x.Count(in) {
+					t.Fatalf("%s: index count %d, %d users, CountUses %d", in.Op, x.Count(in), len(users), CountUses(f, in))
+				}
+				prev := -1
+				for _, u := range users {
+					pos := 0
+					for _, ob := range f.Blocks {
+						if ob == u.User.Parent() {
+							pos += ob.IndexOf(u.User)
+							break
+						}
+						pos += len(ob.Instrs)
+					}
+					if u.User.Ops[u.Index] != in || pos < prev {
+						t.Fatalf("%s: use %v out of order or not a use", in.Op, u)
+					}
+					prev = pos
+				}
+			}
+		}
+	}
+	checkIndex()
 	k := ReplaceAllUses(f, i2, ConstInt(I64T, 7))
 	if k != 2 || HasUses(f, i2) {
 		t.Fatal("replace failed")
+	}
+	checkIndex() // a rebuild reflects the rewrite
+	if x.Count(i2) != 0 || x.Users(i2) != nil {
+		t.Fatal("rebuilt index still lists the replaced uses")
+	}
+	x.Reset()
+	if x.Count(body.Instrs[2]) != 0 {
+		t.Fatal("reset index still answers")
 	}
 }
 

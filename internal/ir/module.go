@@ -1,6 +1,9 @@
 package ir
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // FuncAttrs carries interprocedural attributes discovered by analyses.
 type FuncAttrs uint8
@@ -121,13 +124,13 @@ func (b *Block) Append(in *Instr) *Instr {
 	return in
 }
 
-// InsertBefore inserts in before position idx.
-func (b *Block) InsertBefore(idx int, in *Instr) {
+// InsertBefore inserts ins, in order, before position idx.
+func (b *Block) InsertBefore(idx int, ins ...*Instr) {
 	b.guardMutable()
-	in.parent = b
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[idx+1:], b.Instrs[idx:])
-	b.Instrs[idx] = in
+	for _, in := range ins {
+		in.parent = b
+	}
+	b.Instrs = slices.Insert(b.Instrs, idx, ins...)
 }
 
 // RemoveAt deletes the instruction at position idx.
@@ -341,6 +344,110 @@ func CountUses(f *Function, v Value) int {
 		}
 	}
 	return n
+}
+
+// Use is one operand slot that references an instruction: User.Ops[Index].
+type Use struct {
+	User  *Instr
+	Index int
+}
+
+// UseIndex is a def-use index over one function: for each instruction, the
+// operand slots that reference it, in block and instruction order. A pass
+// builds it once per run and answers every "who uses this instruction, and
+// how many times?" question from it, where HasUses/CountUses would rescan
+// the whole function per question.
+//
+// The index records operand slots, not blocks: moving an instruction to
+// another block leaves it valid (read a user's block through Parent when it
+// is needed), but adding, removing or rewriting an operand makes it stale
+// until the next Build. That is why it is not in the per-function analysis
+// cache: passes write Ops directly, so no invalidation point would see it go
+// stale. The zero value is ready for Build; a rebuilt index reuses its
+// storage.
+type UseIndex struct {
+	slot  map[*Instr]int32 // instruction -> its entry in spans
+	spans []useSpan
+	uses  []Use
+}
+
+// useSpan locates one instruction's uses: uses[start : start+n].
+type useSpan struct{ start, n int32 }
+
+// Build indexes the uses of f's instructions as f stands now.
+func (x *UseIndex) Build(f *Function) {
+	if x.slot == nil {
+		x.slot = make(map[*Instr]int32)
+	}
+	clear(x.slot)
+	x.spans = x.spans[:0]
+	total := int32(0)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, op := range in.Ops {
+				d, ok := op.(*Instr)
+				if !ok {
+					continue
+				}
+				s, seen := x.slot[d]
+				if !seen {
+					s = int32(len(x.spans))
+					x.slot[d] = s
+					x.spans = append(x.spans, useSpan{})
+				}
+				x.spans[s].n++
+				total++
+			}
+		}
+	}
+	// Turn counts into starts; the second walk counts n back up as it
+	// fills each span.
+	start := int32(0)
+	for i, s := range x.spans {
+		x.spans[i] = useSpan{start: start}
+		start += s.n
+	}
+	x.uses = slices.Grow(x.uses[:0], int(total))[:total]
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for i, op := range in.Ops {
+				if d, ok := op.(*Instr); ok {
+					s := &x.spans[x.slot[d]]
+					x.uses[s.start+s.n] = Use{User: in, Index: i}
+					s.n++
+				}
+			}
+		}
+	}
+}
+
+// Users returns the operand slots that referenced in when the index was
+// built. The slice aliases the index; do not modify it.
+func (x *UseIndex) Users(in *Instr) []Use {
+	s, ok := x.slot[in]
+	if !ok {
+		return nil
+	}
+	sp := x.spans[s]
+	return x.uses[sp.start : sp.start+sp.n]
+}
+
+// Count returns the number of operand slots that referenced in when the
+// index was built (CountUses as of Build).
+func (x *UseIndex) Count(in *Instr) int {
+	if s, ok := x.slot[in]; ok {
+		return int(x.spans[s].n)
+	}
+	return 0
+}
+
+// Reset empties the index and drops its references into the function, so
+// pooled storage does not keep a module alive; capacity is kept.
+func (x *UseIndex) Reset() {
+	clear(x.slot)
+	x.spans = x.spans[:0]
+	clear(x.uses)
+	x.uses = x.uses[:0]
 }
 
 // AttachBlock sets f as the parent of a block constructed outside the

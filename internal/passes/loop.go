@@ -1229,47 +1229,70 @@ func strengthReduceIVs(f *ir.Function) int {
 
 // sinkIntoLoops moves pure preheader computations used only inside the loop
 // into the loop header (the deoptimising inverse of LICM, mirroring LLVM's
-// loop-sink for cold loops).
+// loop-sink for cold loops). Sinking moves instructions but rewrites no
+// operand, so one use index, built when the first candidate needs it, serves
+// the whole run.
 func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	_, _, li := loopsOf(f)
+	sc := getScratch()
+	defer putScratch(sc)
+	uses, sunk := &sc.uses, sc.iset
+	indexed := false
 	for _, l := range li.Loops {
 		if l.Preheader == nil {
 			continue
 		}
+		// Walk the preheader backward so that a chain of computations sinks
+		// whole. Sunk instructions stay in place until the walk ends, then
+		// move to the header in one splice; until then they count as header
+		// instructions.
 		ph := l.Preheader
 		for i := len(ph.Instrs) - 2; i >= 0; i-- {
 			in := ph.Instrs[i]
 			if in.Op == ir.OpPhi || !isPure(m, in) || mayTrap(in) {
 				continue
 			}
-			onlyInLoop := true
-			anyUse := false
-			for _, ob := range f.Blocks {
-				for _, u := range ob.Instrs {
-					for oi, op := range u.Ops {
-						if op != in {
-							continue
-						}
-						anyUse = true
-						// A phi use lives on its incoming edge.
-						useBlock := ob
-						if u.Op == ir.OpPhi {
-							useBlock = u.Blocks[oi]
-						}
-						if !l.Blocks[useBlock] {
-							onlyInLoop = false
-						}
-					}
+			if !indexed {
+				uses.Build(f)
+				indexed = true
+			}
+			users := uses.Users(in)
+			onlyInLoop := len(users) > 0
+			for _, u := range users {
+				useBlock := u.User.Parent()
+				switch {
+				case u.User.Op == ir.OpPhi:
+					// A phi use lives on its incoming edge.
+					useBlock = u.User.Blocks[u.Index]
+				case sunk[u.User]:
+					useBlock = l.Header
+				}
+				if !l.Blocks[useBlock] {
+					onlyInLoop = false
+					break
 				}
 			}
-			if !anyUse || !onlyInLoop {
-				continue
+			if onlyInLoop {
+				sunk[in] = true
 			}
-			ph.RemoveAt(i)
-			l.Header.InsertBefore(len(l.Header.Phis()), in)
-			n++
 		}
+		if len(sunk) == 0 {
+			continue
+		}
+		kept, moved := ph.Instrs[:0], sc.work[:0]
+		for _, in := range ph.Instrs {
+			if sunk[in] {
+				moved = append(moved, in)
+			} else {
+				kept = append(kept, in)
+			}
+		}
+		ph.Instrs = kept
+		l.Header.InsertBefore(len(l.Header.Phis()), moved...)
+		n += len(moved)
+		sc.work = moved[:0]
+		clear(sunk)
 	}
 	return n
 }

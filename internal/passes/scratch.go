@@ -10,12 +10,14 @@ import (
 // scratch bundles the transient marking sets and worklists the hot DCE-family
 // passes need. Instances are pooled so a long tuning run (hundreds of
 // thousands of pass executions over small functions) does not re-grow the
-// same maps on every invocation. Maps are handed out empty and cleared on
-// release; the worklist is handed out at length zero with capacity retained.
+// same maps on every invocation. Maps and the use index are handed out empty
+// and cleared on release; the worklist is handed out at length zero with
+// capacity retained.
 type scratch struct {
 	vset map[ir.Value]bool
 	iset map[*ir.Instr]bool
 	work []*ir.Instr
+	uses ir.UseIndex
 }
 
 var scratchPool = sync.Pool{
@@ -48,5 +50,6 @@ func putScratch(s *scratch) {
 	clear(s.vset)
 	clear(s.iset)
 	s.work = s.work[:0]
+	s.uses.Reset()
 	scratchPool.Put(s)
 }

@@ -365,19 +365,27 @@ func vectorizeOneLoop(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) boo
 // transformation at the heart of the paper's motivating example (Fig 5.1):
 // it only fires when operand widths fit the target SIMD width, so an
 // instcombine-widened chain (FlagWidened, i64) is rejected on narrow targets.
+//
+// Every use count comes from one use index: a search that does not rewrite
+// mutates nothing, so the index is rebuilt only after a rewrite.
 func slpVectorize(m *ir.Module, f *ir.Function) (int, int) {
+	sc := getScratch()
+	defer putScratch(sc)
+	uses := &sc.uses
+	uses.Build(f)
 	nVec, nRed := 0, 0
 	for _, b := range f.Blocks {
 		for {
-			vn, rn := slpOneChain(m, f, b)
+			vn, rn := slpOneChain(m, f, b, uses)
 			if rn == 0 && vn == 0 {
 				break
 			}
 			nVec += vn
 			nRed += rn
+			uses.Build(f)
 		}
 	}
-	nVec += slpStoreGroups(m, f)
+	nVec += slpStoreGroups(m, f, uses)
 	return nVec, nRed
 }
 
@@ -399,41 +407,42 @@ type slpTerm struct {
 	widest ir.Kind
 }
 
-// slpOneChain vectorises the first profitable reduction chain in b.
-func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
-	// Find chain roots: add/fadd not feeding another same-op single-use add.
+// slpOneChain vectorises the first profitable reduction chain in b. uses
+// must index f as it stands.
+func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block, uses *ir.UseIndex) (int, int) {
+	// Stores between the loads and the chain would invalidate reordering.
+	if blockHasStoreOrCall(m, b) {
+		return 0, 0
+	}
+	// Find chain roots: add/fadd not feeding another same-op add in b.
+	var terms []slpTerm // reused root to root
 	for _, root := range b.Instrs {
 		if root.Op != ir.OpAdd && root.Op != ir.OpFAdd || root.Ty.IsVector() {
 			continue
 		}
 		feeds := false
-		for _, u := range b.Instrs {
-			if u.Op == root.Op {
-				for _, op := range u.Ops {
-					if op == root {
-						feeds = true
-					}
-				}
+		for _, u := range uses.Users(root) {
+			if u.User.Op == root.Op && u.User.Parent() == b {
+				feeds = true
+				break
 			}
 		}
 		if feeds {
 			continue
 		}
 		// Walk the linear chain acc_k = add(acc_{k-1}, t_k).
-		var terms []slpTerm
-		var chain []*ir.Instr
+		terms = terms[:0]
 		cur := root
 		for {
-			chain = append(chain, cur)
 			a, b2 := cur.Ops[0], cur.Ops[1]
 			ai, aok := a.(*ir.Instr)
-			if aok && ai.Op == cur.Op && ai.Parent() == b && ir.CountUses(f, ai) == 1 {
+			if aok && ai.Op == cur.Op && ai.Parent() == b && uses.Count(ai) == 1 {
 				terms = append(terms, slpTerm{add: cur, term: b2})
 				cur = ai
 				continue
 			}
 			bi, bok := b2.(*ir.Instr)
-			if bok && bi.Op == cur.Op && bi.Parent() == b && ir.CountUses(f, bi) == 1 {
+			if bok && bi.Op == cur.Op && bi.Parent() == b && uses.Count(bi) == 1 {
 				terms = append(terms, slpTerm{add: cur, term: a})
 				cur = bi
 				continue
@@ -446,7 +455,7 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 			continue
 		}
 		// Match every term except possibly the chain bottom's accumulator.
-		matched := matchSLPTerms(m, f, b, terms)
+		matched := matchSLPTerms(b, terms, uses)
 		if len(matched) < 4 {
 			continue
 		}
@@ -577,9 +586,10 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 	return 0, 0
 }
 
-// matchSLPTerms extracts load/mul structure from chain terms.
-func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) []slpTerm {
-	var out []slpTerm
+// matchSLPTerms extracts load/mul structure from chain terms. It filters
+// terms in place and returns the matched prefix.
+func matchSLPTerms(b *ir.Block, terms []slpTerm, uses *ir.UseIndex) []slpTerm {
+	out := terms[:0]
 	stripExt := func(v ir.Value) (*ir.Instr, *ir.Instr) { // (load, ext)
 		in, ok := v.(*ir.Instr)
 		if !ok || in.Parent() != b {
@@ -587,7 +597,7 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 		}
 		var ext *ir.Instr
 		if in.Op == ir.OpSExt || in.Op == ir.OpZExt {
-			if ir.CountUses(f, in) != 1 {
+			if uses.Count(in) != 1 {
 				return nil, nil
 			}
 			ext = in
@@ -597,14 +607,14 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 			}
 			in = ld
 		}
-		if in.Op != ir.OpLoad || in.Ty.IsVector() || ir.CountUses(f, in) != 1 {
+		if in.Op != ir.OpLoad || in.Ty.IsVector() || uses.Count(in) != 1 {
 			return nil, nil
 		}
 		return in, ext
 	}
 	for _, t := range terms {
 		ti, ok := t.term.(*ir.Instr)
-		if !ok || ti.Parent() != b || ir.CountUses(f, ti) != 1 {
+		if !ok || ti.Parent() != b || uses.Count(ti) != 1 {
 			continue
 		}
 		rec := t
@@ -613,7 +623,7 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 		if ti.Op == ir.OpSExt {
 			if inner, okI := ti.Ops[0].(*ir.Instr); okI &&
 				(inner.Op == ir.OpMul || inner.Op == ir.OpFMul) &&
-				inner.Parent() == b && ir.CountUses(f, inner) == 1 {
+				inner.Parent() == b && uses.Count(inner) == 1 {
 				ti = inner
 			}
 		}
@@ -653,10 +663,6 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 			}
 			rec.mulB, rec.extB, rec.baseB, rec.symB, rec.offB = lB, eB, boB, symB, offB
 		}
-		// Stores between the loads and the chain would invalidate reordering.
-		if blockHasStoreOrCall(m, b) {
-			continue
-		}
 		out = append(out, rec)
 	}
 	// All terms must share bases and shape.
@@ -664,7 +670,7 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 		return nil
 	}
 	ref := out[0]
-	var same []slpTerm
+	same := out[:0]
 	for _, t := range out {
 		if t.baseA == ref.baseA && t.symA == ref.symA &&
 			((t.mul == nil) == (ref.mul == nil)) &&
@@ -701,30 +707,29 @@ func blockHasStoreOrCall(m *ir.Module, b *ir.Block) bool {
 }
 
 // consecutiveRun returns the longest run of terms with consecutive offA (and
-// offB when present), starting from the sorted slice.
+// offB when present), starting from the sorted slice; the first longest run
+// wins. The result aliases ts.
 func consecutiveRun(ts []slpTerm) []slpTerm {
-	best := []slpTerm{}
-	for i := 0; i < len(ts); i++ {
-		run := []slpTerm{ts[i]}
-		for j := i + 1; j < len(ts); j++ {
-			last := run[len(run)-1]
-			if ts[j].offA == last.offA+1 &&
-				(ts[j].mul == nil || ts[j].offB == last.offB+1) {
-				run = append(run, ts[j])
-			} else {
-				break
-			}
+	best := ts[:0]
+	for i := 0; i < len(ts); {
+		j := i + 1
+		for j < len(ts) && ts[j].offA == ts[j-1].offA+1 &&
+			(ts[j].mul == nil || ts[j].offB == ts[j-1].offB+1) {
+			j++
 		}
-		if len(run) > len(best) {
-			best = run
+		if j-i > len(best) {
+			best = ts[i:j]
 		}
+		// A run starting inside this one is a suffix of it, never longer.
+		i = j
 	}
 	return best
 }
 
 // slpStoreGroups merges 4 consecutive stores of isomorphic computations over
 // consecutive loads into vector form.
-func slpStoreGroups(m *ir.Module, f *ir.Function) int {
+// uses must index f as it stands; it is rebuilt after each rewrite.
+func slpStoreGroups(m *ir.Module, f *ir.Function, uses *ir.UseIndex) int {
 	n := 0
 	for _, b := range f.Blocks {
 		var stores []*ir.Instr
@@ -771,7 +776,7 @@ func slpStoreGroups(m *ir.Module, f *ir.Function) int {
 			okLoads := true
 			for k := 0; k < 4; k++ {
 				ld, isL := g[k].st.Ops[0].(*ir.Instr)
-				if !isL || ld.Op != ir.OpLoad || ld.Parent() != b || ir.CountUses(f, ld) != 1 {
+				if !isL || ld.Op != ir.OpLoad || ld.Parent() != b || uses.Count(ld) != 1 {
 					okLoads = false
 					break
 				}
@@ -812,14 +817,12 @@ func slpStoreGroups(m *ir.Module, f *ir.Function) int {
 			for k := 1; k < 4; k++ {
 				b.RemoveAt(b.IndexOf(g[k].st))
 			}
-			for k := 0; k < 4; k++ {
-				if !ir.HasUses(f, loads[k]) {
-					if idx := b.IndexOf(loads[k]); idx >= 0 {
-						b.RemoveAt(idx)
-					}
-				}
+			// Each load's one use was its store, rewritten or removed above.
+			for _, ld := range loads {
+				b.RemoveAt(b.IndexOf(ld))
 			}
 			n += 2
+			uses.Build(f)
 			break // block mutated; move on
 		}
 	}
